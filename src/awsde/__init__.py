@@ -62,28 +62,21 @@ from .models import (
     validate_assumptions,
 )
 from .randomness import (
-    IncrementBatch,
     TimeGrid,
     TruncationLevel,
-    correlate,
     sample_increment_block,
-    sample_increments,
-    truncate_increments,
     truncation_level,
 )
 from .schemes import (
     SCHEME_ALIASES,
     SCHEME_KINDS,
-    DiscretePath,
     StepperConfig,
     config_from_alias,
     em_step,
     guard_report,
     implicit_solve,
     semi_implicit_em_step,
-    simulate_coupled,
     simulate_coupled_block,
-    simulate_path,
     simulate_path_block,
     symmetrised_em_step,
     transformed_step,
@@ -127,12 +120,8 @@ __all__ = [
     # randomness
     "TimeGrid",
     "TruncationLevel",
-    "IncrementBatch",
-    "sample_increments",
     "sample_increment_block",
     "truncation_level",
-    "truncate_increments",
-    "correlate",
     # transform
     "PiecewiseTransform",
     "TransformedCoefficients",
@@ -143,7 +132,6 @@ __all__ = [
     "SCHEME_KINDS",
     "SCHEME_ALIASES",
     "StepperConfig",
-    "DiscretePath",
     "config_from_alias",
     "guard_report",
     "em_step",
@@ -151,9 +139,7 @@ __all__ = [
     "semi_implicit_em_step",
     "transformed_step",
     "symmetrised_em_step",
-    "simulate_path",
     "simulate_path_block",
-    "simulate_coupled",
     "simulate_coupled_block",
     # trees and exact transport
     "TreeNode",

@@ -9,7 +9,6 @@ stderr with a nonzero exit code so callers can parse them.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import platform
 import random
@@ -36,6 +35,7 @@ from .discrete_bicausal import (
 )
 from .errors import AwsdeError, ConfigurationError
 from .estimator import (
+    _write_csv,
     estimate_aw,
     strong_error_curve,
     write_aw_estimates_csv,
@@ -195,19 +195,21 @@ def _exact(value: Fraction) -> dict:
     return {"fraction": str(Fraction(value)), "float": float(value)}
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    def cell(value):
-        if isinstance(value, bool):
-            raise ConfigurationError("boolean cell in CSV output")
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        return repr(float(value))
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell(v) for v in row])
+def _perturbed_start_snell_values() -> list[dict]:
+    """Exact sup-payoff Snell values of the perturbed-start pair at eps = 1/10, 3/10."""
+    payoff = coordinate_payoff(objective="sup")
+    values = []
+    for eps in (Fraction(1, 10), Fraction(3, 10)):
+        pm, pn = perturbed_start_pair(eps)
+        values.append(
+            {
+                "eps": str(eps),
+                "value_perturbed": _exact(snell_value(pm, payoff)),
+                "value_unperturbed": _exact(snell_value(pn, payoff)),
+                "expected_perturbed": _exact((1 - eps) / 2),
+            }
+        )
+    return values
 
 
 def _estimate_rows(config, grid, paths, base_spec, perturbed, alias, p):
@@ -348,23 +350,10 @@ def _run_counterexamples(config: ExperimentConfig, out: Path) -> tuple[list[str]
                 }
             )
 
-    payoff = coordinate_payoff(objective="sup")
-    stopping = []
-    for eps in (Fraction(1, 10), Fraction(3, 10)):
-        pm, pn = perturbed_start_pair(eps)
-        stopping.append(
-            {
-                "eps": str(eps),
-                "value_perturbed": _exact(snell_value(pm, payoff)),
-                "value_unperturbed": _exact(snell_value(pn, payoff)),
-                "expected_perturbed": _exact((1 - eps) / 2),
-            }
-        )
-
     report = {
         "two_stage": two_stage,
         "perturbed_start": perturbed,
-        "stopping_values": stopping,
+        "stopping_values": _perturbed_start_snell_values(),
     }
     (out / "counterexamples.json").write_text(json.dumps(report, indent=2) + "\n")
     return ["counterexamples.json"], report
@@ -392,18 +381,7 @@ def _run_stopping(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]
                 "holds": holds,
             }
         )
-    payoff = coordinate_payoff(objective="sup")
-    exact = []
-    for eps in (Fraction(1, 10), Fraction(3, 10)):
-        pm, pn = perturbed_start_pair(eps)
-        exact.append(
-            {
-                "eps": str(eps),
-                "value_perturbed": _exact(snell_value(pm, payoff)),
-                "value_unperturbed": _exact(snell_value(pn, payoff)),
-                "expected_perturbed": _exact((1 - eps) / 2),
-            }
-        )
+    exact = _perturbed_start_snell_values()
     report = {"instances": count, "all_hold": all_hold, "exact_examples": exact, "sweep": rows}
     (out / "stopping.json").write_text(json.dumps(report, indent=2) + "\n")
     return ["stopping.json"], report

@@ -1,14 +1,17 @@
 """Reproducible Brownian increments on uniform time grids.
 
-Every stream is a pure function of ``(seed, path_index)``: path ``i`` comes out
-bit-identical whether it is generated alone, as a row of a block, or on a
-different worker.  Streams are keyed (counter-based Philox), never split, so no
-generator state is shared between paths.
+:func:`sample_increment_block` draws the increments of a contiguous range of
+paths, one row per path.  Every row is a pure function of ``(seed,
+path_index)``: path ``i`` comes out bit-identical whether it is drawn alone
+(a block of width 1), as a row of a wider block, or on a different worker.
+Streams are keyed (counter-based Philox), never split, so no generator state
+is shared between paths.
 
-Truncation clips each increment to ``[-a_h, a_h]`` with
-``a_h = 4 * sqrt(h * log(1/h))``.  For an ``N(0, h)`` draw the clip event has
-probability ``2 * Phi(-4 * sqrt(log(1/h)))``, which is below 1e-15 for every
-step size used here, so clipping perturbs moments far less than ``h^2``.
+The monotone scheme clips each increment to ``[-a_h, a_h]`` with
+``a_h = 4 * sqrt(h * log(1/h))`` (:func:`truncation_level`).  For an
+``N(0, h)`` draw the clip event has probability
+``2 * Phi(-4 * sqrt(log(1/h)))``, which is below 1e-15 for every step size
+used here, so clipping perturbs moments far less than ``h^2``.
 """
 
 from __future__ import annotations
@@ -21,12 +24,8 @@ import numpy as np
 __all__ = [
     "TimeGrid",
     "TruncationLevel",
-    "IncrementBatch",
-    "sample_increments",
     "sample_increment_block",
     "truncation_level",
-    "truncate_increments",
-    "correlate",
 ]
 
 Array = np.ndarray
@@ -114,36 +113,6 @@ def truncation_level(grid: "TimeGrid | float") -> TruncationLevel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IncrementBatch:
-    """One path's Brownian increments on a grid.
-
-    ``values[k]`` approximates ``W_{t_{k+1}} - W_{t_k}`` and has variance
-    ``h`` (before any truncation).  The array is marked read-only; derive new
-    batches instead of mutating.
-
-    Attributes
-    ----------
-    truncated_at:
-        ``a_h`` if the values have been clipped, else ``None``.
-    """
-
-    grid: TimeGrid
-    seed: int
-    path_index: int
-    values: Array
-    truncated_at: float | None = None
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (self.grid.steps,):
-            raise ValueError(
-                f"values must have shape ({self.grid.steps},), got {values.shape}"
-            )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
 def _validate_stream_id(seed: int, path_index: int) -> None:
     if not isinstance(seed, int) or not 0 <= seed < _MAX64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
@@ -158,68 +127,23 @@ def _standard_normals(n: int, seed: int, path_index: int) -> Array:
     return gen.standard_normal(n)
 
 
-def sample_increments(grid: TimeGrid, seed: int, path_index: int) -> IncrementBatch:
-    """Gaussian increments ``N(0, h)`` for one path.
-
-    Deterministic in ``(seed, path_index)``: repeated calls return
-    bit-identical values.
-    """
-    _validate_stream_id(seed, path_index)
-    values = _standard_normals(grid.steps, seed, path_index) * math.sqrt(grid.step)
-    return IncrementBatch(grid=grid, seed=seed, path_index=path_index, values=values)
-
-
 def sample_increment_block(grid: TimeGrid, seed: int, start: int, count: int) -> Array:
     """Increments for paths ``start, ..., start + count - 1`` as a ``(count, steps)`` array.
 
-    Row ``i`` equals ``sample_increments(grid, seed, start + i).values`` exactly;
-    the block is generated path by path, never interleaved.
+    Entry ``[i, k]`` approximates ``W_{t_{k+1}} - W_{t_k}`` of path ``start + i``
+    and has variance ``h``.  Row ``i`` depends only on ``(seed, start + i)``:
+    it equals ``sample_increment_block(grid, seed, start + i, 1)[0]`` exactly,
+    because the block is generated path by path, never interleaved.  Every
+    path index in the range must lie below ``2^64``.
     """
     _validate_stream_id(seed, start)
     if not isinstance(count, int) or count < 0:
         raise ValueError(f"count must be a nonnegative integer, got {count!r}")
+    if start + count > _MAX64:
+        raise ValueError(f"last path index {start + count - 1} is outside [0, 2^64)")
     sqrt_h = math.sqrt(grid.step)
     out = np.empty((count, grid.steps), dtype=np.float64)
     for i in range(count):
         out[i] = _standard_normals(grid.steps, seed, start + i)
     out *= sqrt_h
     return out
-
-
-def truncate_increments(batch: IncrementBatch) -> IncrementBatch:
-    """Clip a batch to ``[-a_h, a_h]``.
-
-    The map is monotone in each coordinate and is the identity on values
-    already inside the band.
-    """
-    level = truncation_level(batch.grid)
-    values = np.clip(batch.values, -level.value, level.value)
-    return IncrementBatch(
-        grid=batch.grid,
-        seed=batch.seed,
-        path_index=batch.path_index,
-        values=values,
-        truncated_at=level.value,
-    )
-
-
-def correlate(batch: IncrementBatch, independent: IncrementBatch, rho: float) -> IncrementBatch:
-    """Mix two increment streams: ``rho * batch + sqrt(1 - rho^2) * independent``.
-
-    At ``rho = 1`` the output values equal ``batch.values`` exactly and at
-    ``rho = 0`` they equal ``independent.values`` exactly (IEEE arithmetic:
-    ``1*x = x`` and ``0*x + 1*y = y`` for finite inputs).  The result carries
-    the metadata of ``independent``; it is a derived stream, so the
-    regeneration contract of :func:`sample_increments` does not apply to it.
-    """
-    if batch.grid != independent.grid:
-        raise ValueError("correlate requires both batches on the same grid")
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [-1, 1], got {rho!r}")
-    values = rho * batch.values + math.sqrt(1.0 - rho * rho) * independent.values
-    return IncrementBatch(
-        grid=batch.grid,
-        seed=independent.seed,
-        path_index=independent.path_index,
-        values=values,
-    )

@@ -1,19 +1,25 @@
 """Time-stepping schemes for scalar SDEs.
 
-Four steppers share one driver:
+Each scheme has one single-step kernel:
 
-- ``explicit_em``: the Euler-Maruyama step ``x + b(t, x) h + sigma(t, x) dW``.
-- ``semi_implicit_em``: drift implicit, diffusion explicit; the step solves
-  ``z - h b(t, z) = x + sigma(t, x) dW``.  Under a one-sided Lipschitz drift
-  with ``h < 1/L`` the map ``z -> z - h b(t, z)`` is strictly increasing, so
-  the root is unique.
-- ``transformed_semi_implicit``: the semi-implicit step applied to the
-  transformed coefficients and conjugated back, ``G^{-1} o (id - h btilde)^{-1}
-  o (id + dW sigmatilde) o G``.  With the ``monotone`` flag the increments are
-  truncated at ``a_h``, and whenever additionally ``1 - L_sigmatilde a_h > 0``
+- :func:`em_step`, explicit Euler-Maruyama: ``x + b(t, x) h + sigma(t, x) dW``.
+- :func:`semi_implicit_em_step`, drift implicit and diffusion explicit; the
+  step solves ``z - h b(t, z) = x + sigma(t, x) dW``.  Under a one-sided
+  Lipschitz drift with ``h < 1/L`` the map ``z -> z - h b(t, z)`` is strictly
+  increasing, so the root is unique.
+- :func:`transformed_step`, the semi-implicit step applied to the transformed
+  coefficients and conjugated back, ``G^{-1} o (id - h btilde)^{-1} o (id + dW
+  sigmatilde) o G``.  With the ``monotone`` flag the block loop truncates the
+  increments at ``a_h``, and whenever additionally ``1 - L_sigmatilde a_h > 0``
   the whole step is nondecreasing in the state, uniformly over increments.
-- ``symmetrised_em``: ``|x + kappa (eta - x) h + gamma sqrt(x) dW|`` for the
-  square-root diffusion family; keeps paths nonnegative.
+- :func:`symmetrised_em_step`, ``|x + kappa (eta - x) h + gamma sqrt(x) dW|``
+  for the square-root diffusion family; keeps paths nonnegative.
+
+One loop steps a block of paths by applying the kernel to a whole column of
+increments at a time: :func:`simulate_path_block` on one grid and
+:func:`simulate_coupled_block` on nested grids driven by the same noise.  Row
+``i`` of a block depends only on ``(seed, start + i)``, so a single path is a
+width-1 block.
 
 Step-size guards (``h < 1/L`` for the implicit drift solve and
 ``1 - L_sigmatilde a_h > 0`` for the monotone variant) are checked against the
@@ -26,7 +32,6 @@ fails and the map is not monotone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -34,20 +39,13 @@ import numpy as np
 
 from .errors import BracketError, ConfigurationError, StepSizeError
 from .models import CoefficientSpec
-from .randomness import (
-    IncrementBatch,
-    TimeGrid,
-    sample_increment_block,
-    sample_increments,
-    truncation_level,
-)
+from .randomness import TimeGrid, sample_increment_block, truncation_level
 from .transform import TransformedCoefficients, transformed_coefficients
 
 __all__ = [
     "SCHEME_KINDS",
     "SCHEME_ALIASES",
     "StepperConfig",
-    "DiscretePath",
     "config_from_alias",
     "guard_report",
     "em_step",
@@ -55,9 +53,7 @@ __all__ = [
     "semi_implicit_em_step",
     "transformed_step",
     "symmetrised_em_step",
-    "simulate_path",
     "simulate_path_block",
-    "simulate_coupled",
     "simulate_coupled_block",
 ]
 
@@ -130,25 +126,6 @@ def config_from_alias(alias: str, spec: CoefficientSpec,
             f"unknown scheme {alias!r}; expected one of {sorted(SCHEME_ALIASES)}"
         ) from None
     return StepperConfig(kind=kind, spec=spec, monotone=monotone, guard_policy=guard_policy)
-
-
-@dataclass(frozen=True)
-class DiscretePath:
-    """One simulated path: ``values[k]`` approximates the state at ``k h``."""
-
-    grid: TimeGrid
-    values: Array
-    scheme: str
-    path_index: int
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (self.grid.steps + 1,):
-            raise ValueError(
-                f"values must have shape ({self.grid.steps + 1},), got {values.shape}"
-            )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
 
 def guard_report(config: StepperConfig, grid: TimeGrid) -> tuple[str, ...]:
@@ -336,6 +313,27 @@ def symmetrised_em_step(kappa: float, eta: float, gamma: float, x: "Array | floa
 # ---------------------------------------------------------------------------
 
 
+def _kernel(config: StepperConfig, h: float) -> Callable[[float, Array, Array], Array]:
+    """The scheme's single-step kernel as ``step(t, x, dw)`` at step size ``h``.
+
+    Each kernel is looked up by its module-level name on every step, so a
+    wrapper that replaces that name also sees every step of a block.  Guards
+    are checked once per grid by the callers of :func:`_step_matrix`, not per
+    step.
+    """
+    spec = config.spec
+    if config.kind == "explicit_em":
+        return lambda t, x, dw: em_step(spec, t, x, h, dw)
+    if config.kind == "semi_implicit_em":
+        return lambda t, x, dw: semi_implicit_em_step(spec, t, x, h, dw, enforce_guard=False)
+    if config.kind == "transformed_semi_implicit":
+        tc = config.transformed
+        assert tc is not None
+        return lambda t, x, dw: transformed_step(tc, x, h, dw, enforce_guard=False)
+    kappa, eta, gamma = (spec.params[name] for name in ("kappa", "eta", "gamma"))
+    return lambda t, x, dw: symmetrised_em_step(kappa, eta, gamma, x, h, dw)
+
+
 def _step_matrix(config: StepperConfig, grid: TimeGrid, raw_dw: Array) -> Array:
     """Step a ``(paths, steps)`` increment matrix to a ``(paths, steps+1)`` state matrix.
 
@@ -344,68 +342,32 @@ def _step_matrix(config: StepperConfig, grid: TimeGrid, raw_dw: Array) -> Array:
     at their own level.
     """
     h = grid.step
-    n = grid.steps
-    spec = config.spec
     dw = raw_dw
     if config.monotone:
         a_h = truncation_level(grid).value
         dw = np.clip(raw_dw, -a_h, a_h)
 
-    paths = raw_dw.shape[0]
-    values = np.empty((paths, n + 1), dtype=np.float64)
-    values[:, 0] = spec.initial_value
+    step = _kernel(config, h)
+    values = np.empty((raw_dw.shape[0], grid.steps + 1), dtype=np.float64)
+    values[:, 0] = config.spec.initial_value
     x = values[:, 0].copy()
-
     with np.errstate(over="ignore", invalid="ignore"):
-        if config.kind == "explicit_em":
-            for k in range(n):
-                t = k * h
-                x = x + np.asarray(spec.drift(t, x)) * h + np.asarray(spec.diffusion(t, x)) * dw[:, k]
-                values[:, k + 1] = x
-        elif config.kind == "semi_implicit_em":
-            for k in range(n):
-                t = k * h
-                y = x + np.asarray(spec.diffusion(t, x)) * dw[:, k]
-                x = implicit_solve(y, lambda v: spec.drift(t, v), h, one_sided_bound=None)
-                values[:, k + 1] = x
-        elif config.kind == "transformed_semi_implicit":
-            tc = config.transformed
-            assert tc is not None
-            for k in range(n):
-                x = np.asarray(transformed_step(tc, x, h, dw[:, k], enforce_guard=False))
-                values[:, k + 1] = x
-        elif config.kind == "symmetrised_em":
-            kappa = config.spec.params["kappa"]
-            eta = config.spec.params["eta"]
-            gamma = config.spec.params["gamma"]
-            for k in range(n):
-                x = np.asarray(symmetrised_em_step(kappa, eta, gamma, x, h, dw[:, k]))
-                values[:, k + 1] = x
+        for k in range(grid.steps):
+            x = step(k * h, x, dw[:, k])
+            values[:, k + 1] = x
     return values
-
-
-def simulate_path(config: StepperConfig, increments: IncrementBatch) -> DiscretePath:
-    """Simulate one path driven by ``increments``.
-
-    ``increments`` must be untruncated; the monotone variant truncates
-    internally.  Guard violations raise in strict mode.
-    """
-    _enforce_guards(config, increments.grid)
-    if increments.truncated_at is not None:
-        raise ConfigurationError(
-            "pass untruncated increments; the monotone variant truncates internally"
-        )
-    values = _step_matrix(config, increments.grid, increments.values[None, :])[0]
-    return DiscretePath(grid=increments.grid, values=values, scheme=config.kind,
-                        path_index=increments.path_index)
 
 
 def simulate_path_block(config: StepperConfig, grid: TimeGrid, seed: int,
                         start: int, count: int) -> Array:
     """States for paths ``start .. start+count-1`` as a ``(count, steps+1)`` array.
 
-    Row ``i`` equals ``simulate_path(config, sample_increments(grid, seed,
-    start + i)).values`` bit for bit.
+    Row ``i`` is the scheme's kernel applied step by step to row ``i`` of
+    ``sample_increment_block(grid, seed, start, count)`` (clipped at ``a_h``
+    for the monotone variant), starting from the spec's initial value.  It
+    depends only on ``(seed, start + i)``: it equals
+    ``simulate_path_block(config, grid, seed, start + i, 1)[0]`` bit for bit.
+    Guard violations raise in strict mode.
     """
     _enforce_guards(config, grid)
     raw = sample_increment_block(grid, seed, start, count)
@@ -427,35 +389,19 @@ def _coarse_sums(raw_fine: Array, factor: int) -> Array:
     return out
 
 
-def simulate_coupled(config: StepperConfig, fine_grid: TimeGrid,
-                     factors: Sequence[int], seed: int,
-                     path_index: int) -> dict[int, DiscretePath]:
-    """Paths on nested grids driven by one Brownian stream.
+def simulate_coupled_block(config: StepperConfig, fine_grid: TimeGrid,
+                           factors: Sequence[int], seed: int, start: int,
+                           count: int) -> dict[int, Array]:
+    """Paths on nested grids driven by one Brownian stream: factor -> (count, N/factor + 1).
 
     For each coarsening factor the increments are consecutive differences of
     the fine prefix sums, so all returned paths are couplings of the same
     noise and a driftless unit-diffusion path agrees with the fine path at
-    shared nodes bitwise.  Factor 1 returns the fine path itself.  Every
-    factor must divide the fine step count.
+    shared nodes bitwise.  Factor 1 returns the fine paths themselves.  Every
+    factor must divide the fine step count.  As in
+    :func:`simulate_path_block`, row ``i`` of every factor depends only on
+    ``(seed, start + i)``.
     """
-    _enforce_guards(config, fine_grid)
-    for f in factors:
-        fine_grid.coarsen(f)  # validates divisibility
-    raw = sample_increments(fine_grid, seed, path_index).values[None, :]
-    out: dict[int, DiscretePath] = {}
-    for f in dict.fromkeys(factors):
-        grid_c = fine_grid.coarsen(f)
-        _enforce_guards(config, grid_c)
-        values = _step_matrix(config, grid_c, _coarse_sums(raw, f))[0]
-        out[f] = DiscretePath(grid=grid_c, values=values, scheme=config.kind,
-                              path_index=path_index)
-    return out
-
-
-def simulate_coupled_block(config: StepperConfig, fine_grid: TimeGrid,
-                           factors: Sequence[int], seed: int, start: int,
-                           count: int) -> dict[int, Array]:
-    """Block version of :func:`simulate_coupled`: factor -> (count, N/factor + 1)."""
     _enforce_guards(config, fine_grid)
     for f in factors:
         fine_grid.coarsen(f)

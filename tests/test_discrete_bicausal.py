@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -303,3 +304,13 @@ def test_value_nonnegative_and_diagonal_zero(mu, nu):
     assert plan.certify_marginals(mu, nu) == {"x_marginal": True, "y_marginal": True}
     diag, _ = exact_bicausal_value(mu, mu, SQ)
     assert diag == 0
+
+
+def test_certify_marginals_rejects_unnormalised_plan():
+    # halving one root mass leaves masses that sum to less than one: the plan
+    # certifies neither marginal, and no validation error escapes
+    mu, nu = kr_suboptimal_pair()
+    _, plan = exact_bicausal_value(mu, nu, SQ)
+    root = plan.roots[0]
+    broken = replace(plan, roots=(replace(root, mass=root.mass / 2),) + plan.roots[1:])
+    assert broken.certify_marginals(mu, nu) == {"x_marginal": False, "y_marginal": False}

@@ -454,3 +454,10 @@ def test_aw_estimates_csv_columns(tmp_path):
     assert int(cells[3]) == 64
     assert float(cells[4]) == GRID.step
     assert int(cells[5]) == 2
+
+
+def test_csv_writer_rejects_boolean_cells(tmp_path):
+    path = tmp_path / "aw_estimates.csv"
+    for flag in (True, np.True_):
+        with pytest.raises(ConfigurationError, match="boolean"):
+            write_aw_estimates_csv(os.fspath(path), [(1.0, 0.5, 0.1, 64, 0.25, flag)])

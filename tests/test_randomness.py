@@ -1,21 +1,11 @@
-"""Grids, increment streams, truncation, and correlation."""
+"""Grids, truncation levels, and increment blocks."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from awsde import (
-    IncrementBatch,
-    TimeGrid,
-    correlate,
-    sample_increment_block,
-    sample_increments,
-    truncate_increments,
-    truncation_level,
-)
+from awsde import TimeGrid, sample_increment_block, truncation_level
 
 
 def test_grid_nodes():
@@ -57,24 +47,37 @@ def test_truncation_level_accepts_grid():
 
 def test_same_stream_id_reproduces():
     grid = TimeGrid(horizon=1.0, steps=64)
-    a = sample_increments(grid, seed=7, path_index=3)
-    b = sample_increments(grid, seed=7, path_index=3)
-    assert np.array_equal(a.values, b.values)
+    a = sample_increment_block(grid, seed=7, start=3, count=1)
+    b = sample_increment_block(grid, seed=7, start=3, count=1)
+    assert a.shape == (1, 64)
+    assert np.array_equal(a, b)
 
 
 def test_distinct_paths_differ():
     grid = TimeGrid(horizon=1.0, steps=64)
-    a = sample_increments(grid, seed=7, path_index=0)
-    b = sample_increments(grid, seed=7, path_index=1)
-    assert not np.array_equal(a.values, b.values)
+    a = sample_increment_block(grid, seed=7, start=0, count=1)
+    b = sample_increment_block(grid, seed=7, start=1, count=1)
+    assert not np.array_equal(a, b)
 
 
 def test_block_rows_match_single_paths():
     grid = TimeGrid(horizon=1.0, steps=32)
     block = sample_increment_block(grid, seed=11, start=5, count=4)
     for i in range(4):
-        single = sample_increments(grid, seed=11, path_index=5 + i)
-        assert np.array_equal(block[i], single.values)
+        single = sample_increment_block(grid, seed=11, start=5 + i, count=1)
+        assert np.array_equal(block[i], single[0])
+
+
+def test_block_stream_index_range():
+    grid = TimeGrid(horizon=1.0, steps=4)
+    last = 2 ** 64 - 1
+    assert sample_increment_block(grid, seed=0, start=last, count=1).shape == (1, 4)
+    assert sample_increment_block(grid, seed=0, start=last, count=0).shape == (0, 4)
+    # the start is in range but the block's last path index is not
+    with pytest.raises(ValueError, match="last path index"):
+        sample_increment_block(grid, seed=1, start=last, count=2)
+    with pytest.raises(ValueError):
+        sample_increment_block(grid, seed=1, start=2 ** 64, count=1)
 
 
 def test_increment_moments():
@@ -86,20 +89,6 @@ def test_increment_moments():
     assert draws.size == 10 ** 6
     assert abs(float(draws.mean())) < 4.0 * math.sqrt(0.25 / draws.size)
     assert abs(float(draws.var()) - 0.25) < 0.005
-
-
-def test_truncate_clips_to_band():
-    grid = TimeGrid(horizon=1.0, steps=4)
-    a_h = truncation_level(grid).value
-    batch = IncrementBatch(grid=grid, seed=0, path_index=0,
-                           values=np.array([3.0, 0.1, -3.0, -0.1]))
-    out = truncate_increments(batch)
-    assert out.truncated_at == a_h
-    assert out.values[0] == a_h
-    assert out.values[2] == -a_h
-    # values already inside the band pass through unchanged
-    assert out.values[1] == 0.1
-    assert out.values[3] == -0.1
 
 
 def test_truncation_error_moment():
@@ -115,14 +104,6 @@ def test_truncation_error_moment():
     assert gap2 < h * h
 
 
-def test_correlate_endpoints_exact():
-    grid = TimeGrid(horizon=1.0, steps=16)
-    a = sample_increments(grid, seed=1, path_index=0)
-    b = sample_increments(grid, seed=1, path_index=1)
-    assert np.array_equal(correlate(a, b, 1.0).values, a.values)
-    assert np.array_equal(correlate(a, b, 0.0).values, b.values)
-
-
 def test_correlate_sample_correlation():
     grid = TimeGrid(horizon=1.0, steps=2)
     n = 10 ** 6
@@ -131,31 +112,3 @@ def test_correlate_sample_correlation():
     mixed = 0.5 * a + math.sqrt(0.75) * b
     rho = float(np.corrcoef(a, mixed)[0, 1])
     assert abs(rho - 0.5) < 0.01
-
-
-def test_correlate_rejects_mismatched_grids():
-    a = sample_increments(TimeGrid(1.0, 8), seed=1, path_index=0)
-    b = sample_increments(TimeGrid(1.0, 16), seed=1, path_index=0)
-    with pytest.raises(ValueError):
-        correlate(a, b, 0.5)
-    with pytest.raises(ValueError):
-        correlate(a, a, 1.5)
-
-
-def test_increments_are_read_only():
-    batch = sample_increments(TimeGrid(1.0, 8), seed=1, path_index=0)
-    with pytest.raises(ValueError):
-        batch.values[0] = 0.0
-
-
-@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
-       path=st.integers(min_value=0, max_value=2 ** 16))
-@settings(max_examples=25, deadline=None)
-def test_truncation_idempotent_and_monotone(seed, path):
-    grid = TimeGrid(horizon=1.0, steps=16)
-    batch = sample_increments(grid, seed=seed, path_index=path)
-    once = truncate_increments(batch)
-    twice = truncate_increments(once)
-    assert np.array_equal(once.values, twice.values)
-    order = np.argsort(batch.values)
-    assert np.all(np.diff(once.values[order]) >= 0.0)

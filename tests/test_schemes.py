@@ -1,4 +1,4 @@
-"""One-step maps, the implicit drift solve, and the path drivers."""
+"""One-step maps, the implicit drift solve, and block simulation."""
 
 import numpy as np
 import pytest
@@ -13,16 +13,16 @@ from awsde import (
     builtin_model,
     em_step,
     implicit_solve,
-    sample_increments,
+    sample_increment_block,
     semi_implicit_em_step,
-    simulate_coupled,
-    simulate_path,
+    simulate_coupled_block,
+    simulate_path_block,
     symmetrised_em_step,
     transformed_coefficients,
     transformed_step,
-    truncate_increments,
     truncation_level,
 )
+from awsde.schemes import _step_matrix
 
 CUBIC_ROOT_H01_Y1 = 0.921698994204678631812128132491
 CUBIC_ROOT_H025_Y15 = 1.13472845336184579170705897882
@@ -136,20 +136,19 @@ def test_symmetrised_scheme_requires_cir():
 
 def test_simulate_path_driftless_is_cumsum():
     grid = TimeGrid(1.0, 64)
-    batch = sample_increments(grid, seed=11, path_index=3)
+    dw = sample_increment_block(grid, seed=11, start=3, count=1)[0]
     cfg = config_from_alias("em", builtin_model("brownian"))
-    path = simulate_path(cfg, batch)
-    expected = np.concatenate([[0.0], np.cumsum(batch.values)])
-    assert np.array_equal(path.values, expected)
+    path = simulate_path_block(cfg, grid, seed=11, start=3, count=1)[0]
+    expected = np.concatenate([[0.0], np.cumsum(dw)])
+    assert np.array_equal(path, expected)
 
 
 def test_simulate_path_zero_noise_contracts():
-    grid = TimeGrid(1.0, 10)
-    batch = sample_increments(grid, seed=0, path_index=0)
-    zero = batch.__class__(grid=grid, seed=0, path_index=0,
-                           values=np.zeros(grid.steps))
-    cfg = config_from_alias("iem", builtin_model("cubic"))
-    path = simulate_path(cfg, zero).values
+    cubic = builtin_model("cubic")
+    path = [cubic.initial_value]
+    for k in range(10):
+        path.append(semi_implicit_em_step(cubic, k * 0.1, path[-1], 0.1, 0.0))
+    path = np.array(path)
     assert path[0] == 1.0
     assert path[1] == pytest.approx(CUBIC_ROOT_H01_Y1, rel=1e-11)
     assert np.all(np.diff(path) < 0.0)
@@ -159,17 +158,17 @@ def test_simulate_path_zero_noise_contracts():
 def test_simulate_path_same_stream_identical():
     grid = TimeGrid(1.0, 32)
     cfg = config_from_alias("tiem", builtin_model("cubic"))
-    a = simulate_path(cfg, sample_increments(grid, seed=5, path_index=2))
-    b = simulate_path(cfg, sample_increments(grid, seed=5, path_index=2))
-    assert np.array_equal(a.values, b.values)
+    a = simulate_path_block(cfg, grid, seed=5, start=2, count=1)
+    b = simulate_path_block(cfg, grid, seed=5, start=2, count=1)
+    assert np.array_equal(a, b)
 
 
 def test_simulate_coupled_factor_one_is_fine_path():
     fine = TimeGrid(1.0, 64)
     cfg = config_from_alias("iem", builtin_model("cubic"))
-    out = simulate_coupled(cfg, fine, (1,), seed=9, path_index=4)
-    direct = simulate_path(cfg, sample_increments(fine, seed=9, path_index=4))
-    assert np.array_equal(out[1].values, direct.values)
+    out = simulate_coupled_block(cfg, fine, (1,), seed=9, start=4, count=1)
+    direct = simulate_path_block(cfg, fine, seed=9, start=4, count=1)
+    assert np.array_equal(out[1], direct)
 
 
 def test_simulate_coupled_driftless_exact_on_shared_nodes():
@@ -177,8 +176,8 @@ def test_simulate_coupled_driftless_exact_on_shared_nodes():
     # diffusion agrees at shared nodes with no discretisation error at all
     fine = TimeGrid(1.0, 128)
     cfg = config_from_alias("em", builtin_model("brownian"))
-    out = simulate_coupled(cfg, fine, (1, 8), seed=2, path_index=0)
-    assert np.array_equal(out[8].values, out[1].values[::8])
+    out = simulate_coupled_block(cfg, fine, (1, 8), seed=2, start=0, count=1)
+    assert np.array_equal(out[8], out[1][:, ::8])
 
 
 def test_simulate_coupled_errors_shrink_with_refinement():
@@ -186,11 +185,9 @@ def test_simulate_coupled_errors_shrink_with_refinement():
     cfg = config_from_alias("iem", builtin_model("cubic"))
     errs = []
     for factor in (64, 16, 4):
-        sq = 0.0
-        for pi in range(32):
-            out = simulate_coupled(cfg, fine, (1, factor), seed=21, path_index=pi)
-            sq += np.max(np.abs(out[factor].values - out[1].values[::factor])) ** 2
-        errs.append(np.sqrt(sq / 32))
+        out = simulate_coupled_block(cfg, fine, (1, factor), seed=21, start=0, count=32)
+        sup = np.max(np.abs(out[factor] - out[1][:, ::factor]), axis=1)
+        errs.append(np.sqrt(np.mean(sup ** 2)))
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -199,10 +196,73 @@ def test_guard_policies():
     grid = TimeGrid(1.0, 64)  # h = 1/64 > 1/500
     strict = config_from_alias("tiem", spec, guard_policy="strict")
     with pytest.raises(StepSizeError):
-        simulate_path(strict, sample_increments(grid, seed=1, path_index=0))
+        simulate_path_block(strict, grid, seed=1, start=0, count=1)
     warn = config_from_alias("tiem", spec, guard_policy="warn")
-    path = simulate_path(warn, sample_increments(grid, seed=1, path_index=0))
-    assert np.all(np.isfinite(path.values))
+    path = simulate_path_block(warn, grid, seed=1, start=0, count=1)
+    assert np.all(np.isfinite(path))
+
+
+# every alias on models it accepts; h = 1/64 breaks the transformed guards on
+# sign_drift, so every config warns instead of raising
+WIDTH_ONE_CASES = [
+    ("em", "brownian"),
+    ("em", "perturbed_sign"),
+    ("em", "cubic"),
+    ("iem", "cubic"),
+    ("tiem", "cubic"),
+    ("tiem", "sign_drift"),
+    ("tiem-mono", "cubic"),
+    ("tiem-mono", "sign_drift"),
+    ("sym-em", "cir"),
+]
+
+
+@pytest.mark.parametrize("alias,model", WIDTH_ONE_CASES)
+def test_block_rows_are_width_one_blocks(alias, model):
+    grid = TimeGrid(1.0, 64)
+    cfg = config_from_alias(alias, builtin_model(model), guard_policy="warn")
+    start, count = 6, 3
+    block = simulate_path_block(cfg, grid, seed=13, start=start, count=count)
+    coupled = simulate_coupled_block(cfg, grid, (1, 4, 16), seed=13, start=start, count=count)
+    for i in range(count):
+        alone = simulate_path_block(cfg, grid, seed=13, start=start + i, count=1)
+        assert np.array_equal(block[i], alone[0])
+        alone_coupled = simulate_coupled_block(cfg, grid, (1, 4, 16), seed=13,
+                                               start=start + i, count=1)
+        for factor, paths in coupled.items():
+            assert np.array_equal(paths[i], alone_coupled[factor][0])
+
+
+def _kernel_loop(cfg, grid, dw):
+    spec, h = cfg.spec, grid.step
+    x = spec.initial_value
+    path = [x]
+    for k, d in enumerate(dw):
+        t = k * h
+        if cfg.kind == "explicit_em":
+            x = em_step(spec, t, x, h, d)
+        elif cfg.kind == "semi_implicit_em":
+            x = semi_implicit_em_step(spec, t, x, h, d, enforce_guard=False)
+        elif cfg.kind == "transformed_semi_implicit":
+            x = transformed_step(cfg.transformed, x, h, d, enforce_guard=False)
+        else:
+            params = spec.params
+            x = symmetrised_em_step(params["kappa"], params["eta"], params["gamma"], x, h, d)
+        path.append(x)
+    return np.array(path)
+
+
+@pytest.mark.parametrize("alias,model", WIDTH_ONE_CASES)
+def test_block_rows_follow_the_public_kernel(alias, model):
+    grid = TimeGrid(1.0, 64)
+    cfg = config_from_alias(alias, builtin_model(model), guard_policy="warn")
+    dws = sample_increment_block(grid, seed=17, start=0, count=3)
+    if cfg.monotone:
+        a_h = truncation_level(grid).value
+        dws = np.clip(dws, -a_h, a_h)
+    block = simulate_path_block(cfg, grid, seed=17, start=0, count=3)
+    for row, dw in zip(block, dws):
+        assert np.array_equal(row, _kernel_loop(cfg, grid, dw))
 
 
 def test_implicit_map_strictly_increasing():
@@ -239,9 +299,14 @@ def test_one_step_monotone_in_state_and_noise():
 
 
 def test_truncated_driver_respects_level():
-    grid = TimeGrid(1.0, 4096)
-    batch = truncate_increments(sample_increments(grid, seed=3, path_index=1))
-    assert np.max(np.abs(batch.values)) <= truncation_level(grid.step).value
+    # monotone block stepping clips at the level of the grid it steps on; with
+    # zero drift and unit diffusion each step moves by the clipped increment
+    cfg = config_from_alias("tiem-mono", builtin_model("perturbed_sign", k=0.0))
+    grid = TimeGrid(1.0, 4)
+    a_h = truncation_level(grid).value
+    raw = np.array([[3.0, 0.1, -3.0, -0.1]])
+    path = _step_matrix(cfg, grid, raw)[0]
+    assert np.array_equal(path, np.cumsum([0.0, a_h, 0.1, -a_h, -0.1]))
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=0.01, max_value=0.45))
