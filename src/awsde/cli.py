@@ -387,25 +387,16 @@ def _run_stopping(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]
     return ["stopping.json"], report
 
 
-def _transform_grid(spec) -> np.ndarray:
-    transform = build_transform(spec)
+def _transform_csv(config: ExperimentConfig) -> tuple[Callable[[Path], str], dict]:
+    """Build ``G`` for ``--model``; return a call that writes ``transform.csv`` and the report."""
+    model = config.model or "sign_drift"
+    transform = build_transform(builtin_model(model))
     if transform.breakpoints:
         lo = min(transform.breakpoints) - 2.0
         hi = max(transform.breakpoints) + 2.0
     else:
         lo, hi = -2.0, 2.0
-    return np.linspace(lo, hi, 2001)
-
-
-def _write_transform_csv(config: ExperimentConfig, out: Path) -> tuple[str, dict]:
-    model = config.model or "sign_drift"
-    spec = builtin_model(model)
-    transform = build_transform(spec)
-    xs = _transform_grid(spec)
-    g = np.asarray(transform.g(xs))
-    rows = zip(xs, g, np.asarray(transform.g_prime(xs)),
-               np.asarray(transform.g_second(xs)), np.asarray(transform.inverse(xs)))
-    _write_csv(out / "transform.csv", ["x", "g", "g_prime", "g_second", "g_inverse"], rows)
+    xs = np.linspace(lo, hi, 2001)
     info = {
         "model": model,
         "breakpoints": [float(b) for b in transform.breakpoints],
@@ -414,29 +405,41 @@ def _write_transform_csv(config: ExperimentConfig, out: Path) -> tuple[str, dict
         "lipschitz_bound": float(transform.lipschitz_bound),
         "rows": int(xs.size),
     }
-    return "transform.csv", info
+
+    def write(out: Path) -> str:
+        rows = zip(xs, np.asarray(transform.g(xs)), np.asarray(transform.g_prime(xs)),
+                   np.asarray(transform.g_second(xs)), np.asarray(transform.inverse(xs)))
+        _write_csv(out / "transform.csv", ["x", "g", "g_prime", "g_second", "g_inverse"], rows)
+        return "transform.csv"
+
+    return write, info
 
 
 def _run_transform_dump(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    name, info = _write_transform_csv(config, out)
-    return [name], info
+    write, info = _transform_csv(config)
+    return [write(out)], info
 
 
-def _write_paths_csv(config: ExperimentConfig, out: Path) -> str:
+def _paths_csv(config: ExperimentConfig) -> Callable[[Path], str]:
+    """Build the ``--dump-paths`` stepper; return a call that writes ``paths.csv``."""
     model = config.model or "brownian"
     alias = config.scheme or "em"
     steps, _ = _fig_scale(config)
     grid = TimeGrid(1.0, steps)
     stepper = config_from_alias(alias, builtin_model(model), guard_policy="warn")
-    block = simulate_path_block(stepper, grid, config.seed, 0, config.dump_paths)
-    h = grid.step
-    rows = [
-        (index, k, k * h, block[index, k])
-        for index in range(block.shape[0])
-        for k in range(block.shape[1])
-    ]
-    _write_csv(out / "paths.csv", ["path_index", "k", "t", "value"], rows)
-    return "paths.csv"
+
+    def write(out: Path) -> str:
+        block = simulate_path_block(stepper, grid, config.seed, 0, config.dump_paths)
+        h = grid.step
+        rows = [
+            (index, k, k * h, block[index, k])
+            for index in range(block.shape[0])
+            for k in range(block.shape[1])
+        ]
+        _write_csv(out / "paths.csv", ["path_index", "k", "t", "value"], rows)
+        return "paths.csv"
+
+    return write
 
 
 _RUNNERS = {
@@ -451,17 +454,20 @@ _RUNNERS = {
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run one experiment, write its artifacts and manifest, return the manifest."""
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        outputs, report = _RUNNERS[config.experiment](config, out)
+        # The extras are built before anything is written, so a combination
+        # that they refuse fails without leaving a directory behind.
+        extras: list[Callable[[Path], str]] = []
         if config.dump_transform and config.experiment != "transform_dump":
-            name, _ = _write_transform_csv(config, out)
-            outputs.append(name)
+            extras.append(_transform_csv(config)[0])
         if config.dump_paths:
-            outputs.append(_write_paths_csv(config, out))
+            extras.append(_paths_csv(config))
+        out = Path(config.out)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs, report = _RUNNERS[config.experiment](config, out)
+        outputs.extend(write(out) for write in extras)
     manifest = {
         "experiment": config.experiment,
         "config": asdict(config),

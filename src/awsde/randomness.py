@@ -120,13 +120,6 @@ def _validate_stream_id(seed: int, path_index: int) -> None:
         raise ValueError(f"path_index must be an integer in [0, 2^64), got {path_index!r}")
 
 
-def _standard_normals(n: int, seed: int, path_index: int) -> Array:
-    # Key, do not split: the (seed, path_index) pair fully determines the stream.
-    key = np.array([seed, path_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal(n)
-
-
 def sample_increment_block(grid: TimeGrid, seed: int, start: int, count: int) -> Array:
     """Increments for paths ``start, ..., start + count - 1`` as a ``(count, steps)`` array.
 
@@ -141,9 +134,19 @@ def sample_increment_block(grid: TimeGrid, seed: int, start: int, count: int) ->
         raise ValueError(f"count must be a nonnegative integer, got {count!r}")
     if start + count > _MAX64:
         raise ValueError(f"last path index {start + count - 1} is outside [0, 2^64)")
-    sqrt_h = math.sqrt(grid.step)
+    # Key, do not split: the (seed, path_index) pair fully determines the
+    # stream.  Re-keying one local bit generator per row gives the same draws
+    # as a fresh Generator(Philox(key=[seed, start + i])) without building one.
+    bitgen = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
     out = np.empty((count, grid.steps), dtype=np.float64)
     for i in range(count):
-        out[i] = _standard_normals(grid.steps, seed, start + i)
-    out *= sqrt_h
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": np.array([seed, start + i], dtype=np.uint64)},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        gen.standard_normal(out=out[i])
+    out *= math.sqrt(grid.step)
     return out

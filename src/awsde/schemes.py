@@ -7,11 +7,15 @@ Each scheme has one single-step kernel:
   step solves ``z - h b(t, z) = x + sigma(t, x) dW``.  Under a one-sided
   Lipschitz drift with ``h < 1/L`` the map ``z -> z - h b(t, z)`` is strictly
   increasing, so the root is unique.
-- :func:`transformed_step`, the semi-implicit step applied to the transformed
-  coefficients and conjugated back, ``G^{-1} o (id - h btilde)^{-1} o (id + dW
-  sigmatilde) o G``.  With the ``monotone`` flag the block loop truncates the
-  increments at ``a_h``, and whenever additionally ``1 - L_sigmatilde a_h > 0``
-  the whole step is nondecreasing in the state, uniformly over increments.
+- :func:`transformed_step`, the semi-implicit step of the transformed SDE
+  written in x-space: it solves ``G(x') - h beta(x') = G(x) + sigma(x) G'(x)
+  dW`` with ``beta = b G' + sigma^2 G'' / 2`` for the new state ``x'``, from
+  the closed forms of ``G``, ``G'`` and ``G''`` alone.  This is ``z' - h
+  btilde(z') = G(x) + sigmatilde(G(x)) dW`` with ``z' = G(x')``, so no
+  ``G^{-1}`` is evaluated.  With the ``monotone`` flag the block loop
+  truncates the increments at ``a_h``, and whenever additionally ``1 -
+  L_sigmatilde a_h > 0`` the whole step is nondecreasing in the state,
+  uniformly over increments.
 - :func:`symmetrised_em_step`, ``|x + kappa (eta - x) h + gamma sqrt(x) dW|``
   for the square-root diffusion family; keeps paths nonnegative.
 
@@ -286,17 +290,39 @@ def semi_implicit_em_step(spec: CoefficientSpec, t: float, x: "Array | float", h
 def transformed_step(tc: TransformedCoefficients, x: "Array | float", h: float,
                      dw: "Array | float",
                      enforce_guard: bool = True) -> "Array | float":
-    """One transformed semi-implicit step.
+    """One transformed semi-implicit step, solved for the new state ``x'`` directly.
 
-    Composition ``G^{-1}((id - h btilde)^{-1}(G(x) + sigmatilde(G(x)) dW))``.
-    Truncating ``dw`` is the caller's responsibility (the simulation driver
-    truncates when the config's ``monotone`` flag is set).
+    The step is the semi-implicit step of the transformed SDE, ``z' - h
+    btilde(z') = G(x) + sigmatilde(G(x)) dW`` with ``x' = G^{-1}(z')``.
+    Substituting ``z' = G(x')`` writes it in x-space,
+
+        G(x') - h beta(x') = G(x) + sigma(x) G'(x) dW,
+        beta = b G' + sigma^2 G'' / 2,
+
+    which needs only the closed forms of ``G``, ``G'`` and ``G''``: no
+    ``G^{-1}``.  :func:`implicit_solve` solves it with the effective drift
+    ``beta(v) - (G(v) - v) / h``.  Off the bumps ``G(v) - v`` is exactly 0,
+    so there the step is :func:`semi_implicit_em_step` bit for bit; with an
+    identity transform it is that step everywhere.  Truncating ``dw`` is the
+    caller's responsibility (the simulation driver truncates when the
+    config's ``monotone`` flag is set).
     """
-    z = np.asarray(tc.transform.g(x), dtype=float)
-    y = z + np.asarray(tc.diffusion(z)) * dw
+    spec, tr = tc.base, tc.transform
+    if tr.is_identity:
+        return semi_implicit_em_step(spec, 0.0, x, h, dw, enforce_guard=enforce_guard)
+
+    def drift(v: Array) -> Array:
+        vs = np.asarray(v, dtype=float)
+        sig = np.asarray(spec.diffusion(0.0, vs))
+        beta = np.asarray(spec.drift(0.0, vs)) * np.asarray(tr.g_prime(vs)) \
+            + 0.5 * sig * sig * np.asarray(tr.g_second(vs))
+        return beta - (np.asarray(tr.g(vs)) - vs) / h
+
+    xs = np.asarray(x, dtype=float)
+    y = np.asarray(tr.g(xs)) \
+        + np.asarray(spec.diffusion(0.0, xs)) * np.asarray(tr.g_prime(xs)) * dw
     bound = tc.one_sided_bound if enforce_guard else None
-    z_new = implicit_solve(y, tc.drift, h, one_sided_bound=bound)
-    out = tc.transform.inverse(z_new)
+    out = implicit_solve(y, drift, h, one_sided_bound=bound)
     return out if np.ndim(x) else float(out)
 
 

@@ -306,6 +306,10 @@ class TransformedCoefficients:
 
     ``one_sided_bound`` and ``lipschitz_bound`` are declared constants
     (cross-checked against a probe at construction), never probe estimates.
+    ``drift`` and ``diffusion`` evaluate ``btilde`` and ``sigmatilde`` through
+    ``G^{-1}``; they serve that probe and the tests, not the stepping path,
+    which solves the step in x-space from ``G``, ``G'`` and ``G''`` (see
+    :func:`awsde.schemes.transformed_step`).
     """
 
     drift: Callable[["Array | float"], "Array | float"]

@@ -244,6 +244,23 @@ def test_dump_paths_and_transform_flags(tmp_path, capsys):
     assert first[:3] == ["0", "0", "0.0"]
 
 
+def test_refused_extras_write_nothing(tmp_path, capsys):
+    # --dump-transform on a model without a transform is refused before the
+    # experiment writes its artifacts, so no directory is left without a manifest
+    out = tmp_path / "run"
+    config = ExperimentConfig(experiment="fig_cir", steps=64, paths=40, model="cir",
+                              scheme="sym-em", dump_paths=3, dump_transform=True, out=str(out))
+    with pytest.raises(ConfigurationError, match="growth_disc"):
+        run_experiment(config)
+    assert not out.exists()
+    code, _, err = _run(capsys, "run", "fig_cir", "--steps", "64", "--paths", "40",
+                        "--model", "cir", "--scheme", "sym-em", "--dump-paths", "3",
+                        "--dump-transform", "--out", str(out))
+    assert code == 2
+    assert json.loads(err)["error"] == "ConfigurationError"
+    assert not out.exists()
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigurationError, match="experiment"):
         ExperimentConfig(experiment="nope")

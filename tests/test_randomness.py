@@ -112,3 +112,17 @@ def test_correlate_sample_correlation():
     mixed = 0.5 * a + math.sqrt(0.75) * b
     rho = float(np.corrcoef(a, mixed)[0, 1])
     assert abs(rho - 0.5) < 0.01
+
+
+@pytest.mark.parametrize("seed,start", [(0, 0), (7, 1000), (2 ** 63, 2 ** 64 - 3)])
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 512])
+def test_block_rows_equal_fresh_keyed_generators(seed, start, steps):
+    # re-keying one bit generator per row must give exactly the stream of a
+    # freshly built Generator(Philox(key=[seed, path_index])), for odd step
+    # counts (a half-used buffer) and up to the largest path index
+    grid = TimeGrid(horizon=0.5, steps=steps)
+    block = sample_increment_block(grid, seed=seed, start=start, count=3)
+    for i, row in enumerate(block):
+        key = np.array([seed, start + i], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal(steps)
+        assert np.array_equal(row, fresh * math.sqrt(grid.step))

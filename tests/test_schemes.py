@@ -121,6 +121,71 @@ def test_transformed_equals_semi_implicit_off_bump():
         assert transformed_step(tc, x, h, dw) == semi_implicit_em_step(spec, 0.0, x, h, dw)
 
 
+@given(st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-1.0, max_value=1.0),
+       st.integers(min_value=9, max_value=16))
+@settings(max_examples=200, deadline=None)
+def test_transformed_step_solves_the_xspace_equation(offset, noise, k):
+    # x within two bump radii of the jump at 1, guarded h, truncated noise
+    tc = transformed_coefficients(builtin_model("sign_drift"))
+    h = 2.0 ** -k
+    assert h < 1.0 / tc.one_sided_bound
+    spec, tr = tc.base, tc.transform
+    x = 1.0 + offset * tr.c0
+    dw = noise * truncation_level(h).value
+    x_new = transformed_step(tc, x, h, dw)
+    # G(x') - h beta(x') = G(x) + sigma(x) G'(x) dW from the closed forms alone
+    rhs = tr.g(x) + spec.diffusion(0.0, x) * tr.g_prime(x) * dw
+    sig = spec.diffusion(0.0, x_new)
+    beta = spec.drift(0.0, x_new) * tr.g_prime(x_new) + 0.5 * sig * sig * tr.g_second(x_new)
+    residual = tr.g(x_new) - h * beta - rhs
+    # the solver's residual tolerance, plus rounding: the solver evaluates the
+    # left side as x' - h (beta - (G - x') / h), not as G - h beta
+    assert abs(residual) <= (1e-12 + 1e-14) * (1.0 + abs(rhs))
+
+
+@pytest.mark.parametrize("h", [2.0 ** -10, 2.0 ** -13])
+def test_transformed_step_agrees_with_the_zspace_composition(h):
+    # the step written in x-space against G^{-1} o (id - h btilde)^{-1} o
+    # (id + dW sigmatilde) o G, built from the transformed coefficients
+    tc = transformed_coefficients(builtin_model("sign_drift"))
+    tr = tc.transform
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([rng.uniform(1.0 - 2 * tr.c0, 1.0 + 2 * tr.c0, 2000),
+                         rng.uniform(0.5, 1.5, 500)])
+    a_h = truncation_level(h).value
+    dws = rng.uniform(-a_h, a_h, xs.size)
+    zs = np.asarray(tr.g(xs))
+    old = np.asarray(tr.inverse(implicit_solve(zs + np.asarray(tc.diffusion(zs)) * dws,
+                                               tc.drift, h)))
+    new = transformed_step(tc, xs, h, dws)
+    assert new == pytest.approx(old, rel=1e-10)
+
+
+def test_transformed_block_never_inverts_the_transform(monkeypatch):
+    import awsde.transform
+
+    # h = 2^-10 as in the strong-rate reference grid, where only the
+    # monotone guard 1 - L a_h > 0 fails
+    cfg = config_from_alias("tiem-mono", builtin_model("sign_drift"), guard_policy="warn")
+    grid = TimeGrid(1.0, 2 ** 10)
+    calls = []
+    original = awsde.transform.invert_transform
+
+    def counting(transform, y):
+        calls.append(np.size(y))
+        return original(transform, y)
+
+    monkeypatch.setattr(awsde.transform, "invert_transform", counting)
+    cfg.transformed.transform.inverse(1.0)
+    assert calls == [1]
+    calls.clear()
+    block = simulate_path_block(cfg, grid, seed=3, start=0, count=16)
+    # the paths do cross the bump, where G is not the identity
+    near = np.abs(block - 1.0) < cfg.transformed.transform.c0
+    assert near.sum() > 100
+    assert calls == []
+
+
 def test_symmetrised_step_values():
     # the reflected scheme fixes the mean-reversion level when dW = 0
     assert symmetrised_em_step(1.0, 1.0, 1.0, 1.0, 0.25, 0.0) == 1.0

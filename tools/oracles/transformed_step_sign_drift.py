@@ -12,6 +12,12 @@ but its dips sit near z ~ 0.969 and z ~ 1.031 while the step's right-hand
 side is ~1.002, so this particular root is still unique and bisection pins
 it).  Printed X1 values are frozen into tests.
 
+Substituting Z1 = G(X1), each X1 is also the root of the x-space equation
+
+    G(X1) - h (b G' + sigma^2 G''/2)(X1) = G(x0) + sigma(x0) G'(x0) dW,
+
+which is the form the package's transformed step solves.
+
 Model: drift 2.5 below 1 and -1.5 at or above 1, sigma(x) = |x|.
 Jump coefficient alpha = (b(1-) - b(1+)) / (2 sigma(1)^2) = 2.
 Support radius c0 = 0.5 * 1/(6 alpha) = 1/24.
