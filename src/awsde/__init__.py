@@ -25,8 +25,6 @@ from .discrete_bicausal import (
     plan_cost,
     power_cost,
     process,
-    process_from_json,
-    process_to_json,
     processes_equal,
 )
 from .errors import (
@@ -51,7 +49,6 @@ from .estimator import (
     power_time_cost,
     strong_error_curve,
     write_aw_estimates_csv,
-    write_moments_csv,
     write_rate_curve_csv,
 )
 from .models import (
@@ -63,7 +60,6 @@ from .models import (
 )
 from .randomness import (
     TimeGrid,
-    TruncationLevel,
     sample_increment_block,
     truncation_level,
 )
@@ -83,11 +79,8 @@ from .schemes import (
 )
 from .stopping import (
     PathPayoff,
-    asian_payoff,
-    builtin_payoff,
     coordinate_payoff,
     enumerate_stopping_value,
-    negated_payoff,
     snell_value,
     stopping_stability_gap,
     verify_payoff_lipschitz,
@@ -119,7 +112,6 @@ __all__ = [
     "BUILTIN_MODELS",
     # randomness
     "TimeGrid",
-    "TruncationLevel",
     "sample_increment_block",
     "truncation_level",
     # transform
@@ -159,14 +151,9 @@ __all__ = [
     "check_quasi_monotone",
     "kr_suboptimal_pair",
     "perturbed_start_pair",
-    "process_to_json",
-    "process_from_json",
     # stopping
     "PathPayoff",
     "coordinate_payoff",
-    "asian_payoff",
-    "builtin_payoff",
-    "negated_payoff",
     "snell_value",
     "enumerate_stopping_value",
     "verify_payoff_lipschitz",
@@ -186,5 +173,4 @@ __all__ = [
     "monotonicity_witness",
     "write_aw_estimates_csv",
     "write_rate_curve_csv",
-    "write_moments_csv",
 ]

@@ -15,7 +15,7 @@ import random
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -520,20 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FIELDS = (
-    "experiment",
-    "preset",
-    "seed",
-    "out",
-    "steps",
-    "paths",
-    "model",
-    "p",
-    "scheme",
-    "workers",
-    "dump_transform",
-    "dump_paths",
-)
+_CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -557,11 +544,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             merged[name] = value
     if merged.get("experiment") is None:
         raise ConfigurationError("no experiment given (positional argument or config file)")
-    defaults = {"preset": "desk", "seed": 7, "out": ".", "workers": 1,
-                "dump_transform": False, "dump_paths": 0}
-    for key, value in defaults.items():
-        merged.setdefault(key, value)
-    if merged["dump_transform"] is None:
+    if merged.get("dump_transform") is None:
         merged["dump_transform"] = False
     try:
         return ExperimentConfig(**merged)

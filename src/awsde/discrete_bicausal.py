@@ -31,7 +31,6 @@ is strictly suboptimal.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -59,8 +58,6 @@ __all__ = [
     "check_quasi_monotone",
     "kr_suboptimal_pair",
     "perturbed_start_pair",
-    "process_to_json",
-    "process_from_json",
 ]
 
 Rational = Fraction
@@ -629,57 +626,3 @@ def perturbed_start_pair(eps) -> tuple[FiniteAdaptedProcess, FiniteAdaptedProces
         node(0, 1, [node(-1, half), node(1, half)]),
     ])
     return mu, nu
-
-
-# ---------------------------------------------------------------------------
-# JSON representation
-# ---------------------------------------------------------------------------
-
-
-def process_to_json(proc: FiniteAdaptedProcess) -> str:
-    """Serialise as ``{stages, nodes: [{id, value, parent, mass_num, mass_den}]}``.
-
-    Values are written as exact fraction strings; ids are depth-first preorder.
-    """
-    nodes = []
-
-    def rec(n: TreeNode, parent: "int | None") -> None:
-        nid = len(nodes)
-        nodes.append({
-            "id": nid,
-            "value": str(n.value),
-            "parent": parent,
-            "mass_num": n.mass.numerator,
-            "mass_den": n.mass.denominator,
-        })
-        for c in n.children:
-            rec(c, nid)
-
-    for r in proc.roots:
-        rec(r, None)
-    return json.dumps({"stages": proc.stages, "nodes": nodes}, indent=2)
-
-
-def process_from_json(text: str) -> FiniteAdaptedProcess:
-    """Inverse of :func:`process_to_json`; accepts int or string values."""
-    doc = json.loads(text)
-    raw = doc["nodes"]
-    children: dict["int | None", list[dict]] = {}
-    for nd in raw:
-        children.setdefault(nd["parent"], []).append(nd)
-
-    def build(nd: dict) -> TreeNode:
-        value = nd["value"]
-        if isinstance(value, float):
-            raise ConfigurationError(
-                f"node {nd['id']} has a float value; use an int or a fraction string"
-            )
-        kids = tuple(build(c) for c in children.get(nd["id"], []))
-        return TreeNode(
-            value=_as_fraction(value),
-            mass=Fraction(nd["mass_num"], nd["mass_den"]),
-            children=kids,
-        )
-
-    roots = tuple(build(nd) for nd in children.get(None, []))
-    return FiniteAdaptedProcess(stages=int(doc["stages"]), roots=roots)

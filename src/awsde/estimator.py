@@ -56,7 +56,6 @@ __all__ = [
     "monotonicity_witness",
     "write_aw_estimates_csv",
     "write_rate_curve_csv",
-    "write_moments_csv",
 ]
 
 Array = np.ndarray
@@ -438,6 +437,8 @@ def moment_diagnostic(
     """
     if not p >= 1:
         raise ConfigurationError(f"p must be >= 1, got {p}")
+    if not isinstance(paths, int) or paths < 1:
+        raise ConfigurationError(f"paths must be a positive integer, got {paths!r}")
     if isinstance(scheme, str):
         config = config_from_alias(scheme, spec, guard_policy=guard_policy)
     else:
@@ -474,7 +475,7 @@ def one_step_cdf(sigma: Callable[[float], float], h: float, z: float, a: float) 
     s = float(sigma(z))
     if not s > 0.0:
         raise AssumptionError(f"diffusion must be positive, got sigma({z}) = {s}")
-    a_h = truncation_level(float(h)).value
+    a_h = truncation_level(float(h))
     if a < z - a_h * s:
         return 0.0
     if a >= z + a_h * s:
@@ -522,7 +523,7 @@ def monotonicity_witness(
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ConfigurationError(f"interval must be increasing, got {interval!r}")
-    a_h = truncation_level(float(h)).value
+    a_h = truncation_level(float(h))
     zs = np.linspace(lo, hi, points)
     sigmas = np.empty(points, dtype=np.float64)
     for i, z in enumerate(zs):
@@ -611,7 +612,3 @@ def write_rate_curve_csv(path, curve: RateCurve) -> None:
             for h, es, ei, se in zip(curve.h_values, curve.err_sup, curve.err_int, curve.stderr)
         ],
     )
-
-
-def write_moments_csv(path, rows: Sequence[MomentRow]) -> None:
-    _write_csv(path, ["h", "p", "sup_moment"], [(r.h, r.p, r.sup_moment) for r in rows])

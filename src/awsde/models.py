@@ -488,9 +488,10 @@ def builtin_model(name: str, /, **params: float) -> CoefficientSpec:
             regularity_class="growth_disc",
             name="perturbed_sign",
             params=p,
-            # alpha = k/10, c0 = 1/(12 alpha): drift slope <= ~222 alpha^2,
-            # diffusion slope <= ~4.6 alpha; declared with margin.
-            transformed_drift_bound=240.0 * amp * amp,
+            # alpha = -k/10, c0 = 1/(12 |alpha|): on a 2e6-point grid the drift
+            # slope reaches ~288 alpha^2 and the diffusion slope ~2.26 alpha
+            # (tools/oracles/transformed_bounds_probe.py); declared with margin.
+            transformed_drift_bound=300.0 * amp * amp,
             transformed_diffusion_bound=5.0 * amp,
         )
 

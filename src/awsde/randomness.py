@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "TimeGrid",
-    "TruncationLevel",
     "sample_increment_block",
     "truncation_level",
 ]
@@ -86,16 +85,8 @@ class TimeGrid:
         return TimeGrid(self.horizon, self.steps // factor)
 
 
-@dataclass(frozen=True)
-class TruncationLevel:
-    """Clipping level ``a_h = 4 * sqrt(h * log(1/h))`` for a step size ``h``."""
-
-    step: float
-    value: float
-
-
-def truncation_level(grid: "TimeGrid | float") -> TruncationLevel:
-    """Truncation level for a grid or a bare step size.
+def truncation_level(grid: "TimeGrid | float") -> float:
+    """Clipping level ``a_h = 4 * sqrt(h * log(1/h))`` for a grid or a bare step size ``h``.
 
     Raises
     ------
@@ -105,7 +96,7 @@ def truncation_level(grid: "TimeGrid | float") -> TruncationLevel:
     h = grid.step if isinstance(grid, TimeGrid) else float(grid)
     if not (0.0 < h < 1.0):
         raise ValueError(f"truncation level requires 0 < h < 1, got h={h!r}")
-    return TruncationLevel(step=h, value=4.0 * math.sqrt(h * math.log(1.0 / h)))
+    return 4.0 * math.sqrt(h * math.log(1.0 / h))
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def guard_report(config: StepperConfig, grid: TimeGrid) -> tuple[str, ...]:
             )
         if config.monotone:
             l_diff = config.transformed.lipschitz_bound
-            a_h = truncation_level(grid).value
+            a_h = truncation_level(grid)
             if l_diff > 0.0 and 1.0 - l_diff * a_h <= 0.0:
                 messages.append(
                     f"monotone guard 1 - L*a_h > 0 fails: L={l_diff}, a_h={a_h!r} at h={h!r}"
@@ -290,33 +290,28 @@ def semi_implicit_em_step(spec: CoefficientSpec, t: float, x: "Array | float", h
 def transformed_step(tc: TransformedCoefficients, x: "Array | float", h: float,
                      dw: "Array | float",
                      enforce_guard: bool = True) -> "Array | float":
-    """One transformed semi-implicit step, solved for the new state ``x'`` directly.
+    """One transformed semi-implicit step, solved in x-space for the new state ``x'``.
 
-    The step is the semi-implicit step of the transformed SDE, ``z' - h
-    btilde(z') = G(x) + sigmatilde(G(x)) dW`` with ``x' = G^{-1}(z')``.
-    Substituting ``z' = G(x')`` writes it in x-space,
+    The step solves
 
         G(x') - h beta(x') = G(x) + sigma(x) G'(x) dW,
-        beta = b G' + sigma^2 G'' / 2,
 
-    which needs only the closed forms of ``G``, ``G'`` and ``G''``: no
-    ``G^{-1}``.  :func:`implicit_solve` solves it with the effective drift
-    ``beta(v) - (G(v) - v) / h``.  Off the bumps ``G(v) - v`` is exactly 0,
-    so there the step is :func:`semi_implicit_em_step` bit for bit; with an
-    identity transform it is that step everywhere.  Truncating ``dw`` is the
-    caller's responsibility (the simulation driver truncates when the
-    config's ``monotone`` flag is set).
+    with ``beta = b G' + sigma^2 G'' / 2`` (:meth:`TransformedCoefficients.beta`),
+    from the closed forms of ``G``, ``G'`` and ``G''``.  In ``z = G(x)`` this
+    is the semi-implicit step of the transformed SDE, ``z' - h btilde(z') = z
+    + sigmatilde(z) dW``.  :func:`implicit_solve` solves it with the
+    effective drift ``beta(v) - (G(v) - v) / h``.  Off the bumps ``G(v) - v``
+    is exactly 0, so there the step is :func:`semi_implicit_em_step` bit for
+    bit; with an identity transform it is that step everywhere.  Truncating
+    ``dw`` is the caller's responsibility (the block loop truncates
+    when the config's ``monotone`` flag is set).
     """
     spec, tr = tc.base, tc.transform
     if tr.is_identity:
         return semi_implicit_em_step(spec, 0.0, x, h, dw, enforce_guard=enforce_guard)
 
     def drift(v: Array) -> Array:
-        vs = np.asarray(v, dtype=float)
-        sig = np.asarray(spec.diffusion(0.0, vs))
-        beta = np.asarray(spec.drift(0.0, vs)) * np.asarray(tr.g_prime(vs)) \
-            + 0.5 * sig * sig * np.asarray(tr.g_second(vs))
-        return beta - (np.asarray(tr.g(vs)) - vs) / h
+        return np.asarray(tc.beta(v)) - (np.asarray(tr.g(v)) - v) / h
 
     xs = np.asarray(x, dtype=float)
     y = np.asarray(tr.g(xs)) \
@@ -370,7 +365,7 @@ def _step_matrix(config: StepperConfig, grid: TimeGrid, raw_dw: Array) -> Array:
     h = grid.step
     dw = raw_dw
     if config.monotone:
-        a_h = truncation_level(grid).value
+        a_h = truncation_level(grid)
         dw = np.clip(raw_dw, -a_h, a_h)
 
     step = _kernel(config, h)

@@ -15,7 +15,7 @@ trees as an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -25,9 +25,6 @@ from .errors import AssumptionError, ConfigurationError, InstanceTooLargeError
 __all__ = [
     "PathPayoff",
     "coordinate_payoff",
-    "asian_payoff",
-    "builtin_payoff",
-    "negated_payoff",
     "snell_value",
     "enumerate_stopping_value",
     "verify_payoff_lipschitz",
@@ -76,65 +73,6 @@ def coordinate_payoff(objective: str = "inf") -> PathPayoff:
         objective=objective,
         name="coordinate",
     )
-
-
-def asian_payoff(
-    stages: int,
-    p: float,
-    step=1,
-    f: "Callable | None" = None,
-    f_lipschitz: float = 1.0,
-    objective: str = "inf",
-) -> PathPayoff:
-    """``L(k, g) = f(step * (g_1 + ... + g_k))``: a payoff on the running sum.
-
-    With ``f`` Lipschitz (identity by default), ``|L(k, g) - L(k, g')| <=
-    f_lip * step * sum_j |g_j - g'_j|``, and Hoelder against the stagewise
-    l^p norm over ``stages`` coordinates gives
-
-        C_L = f_lipschitz * step * stages^((p - 1) / p).
-
-    ``step`` plays the role of a time increment weighting the sum; pass a
-    ``Fraction`` to keep the arithmetic exact (with ``f`` unset).
-    """
-    if stages < 1:
-        raise ConfigurationError(f"stages must be >= 1, got {stages}")
-    if not p >= 1:
-        raise ConfigurationError(f"p must be >= 1, got {p}")
-    if not step > 0:
-        raise ConfigurationError(f"step must be positive, got {step}")
-    if not f_lipschitz > 0:
-        raise ConfigurationError(f"f_lipschitz must be positive, got {f_lipschitz}")
-
-    def evaluate(k: int, prefix: tuple):
-        s = step * sum(prefix)
-        return s if f is None else f(s)
-
-    c_l = float(f_lipschitz) * float(step) * stages ** ((p - 1) / p)
-    return PathPayoff(evaluate=evaluate, lipschitz_constant=c_l,
-                      objective=objective, name="asian")
-
-
-_BUILTIN_PAYOFFS = {"coordinate": coordinate_payoff, "asian": asian_payoff}
-
-
-def builtin_payoff(name: str, /, **params) -> PathPayoff:
-    """Payoff factory keyed by name, for config files: coordinate, asian."""
-    try:
-        factory = _BUILTIN_PAYOFFS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown payoff {name!r}; available: {sorted(_BUILTIN_PAYOFFS)}"
-        ) from None
-    return factory(**params)
-
-
-def negated_payoff(payoff: PathPayoff) -> PathPayoff:
-    """Negate the payoff and flip the objective; the value negates with it."""
-    flipped = "sup" if payoff.objective == "inf" else "inf"
-    base = payoff.evaluate
-    return replace(payoff, evaluate=lambda k, prefix: -base(k, prefix),
-                   objective=flipped)
 
 
 def snell_value(proc: FiniteAdaptedProcess, payoff: PathPayoff) -> "Fraction | float":

@@ -9,10 +9,16 @@ finitely many points ``xi_1 < ... < xi_m`` (time-homogeneous, ``sigma(xi_k)
 
 with a compactly supported bump ``phibar_k`` around each jump point, is a
 monotone C^1 bijection with Lipschitz second derivative such that
-``Y = G(X)`` solves an SDE with continuous, one-sided Lipschitz drift
+``Y = G(X)`` solves an SDE with continuous, one-sided Lipschitz drift and
+diffusion given, at ``Y = G(x)``, by
 
-    btilde = (b G' + sigma^2 G'' / 2) o G^{-1},
-    sigmatilde = (sigma G') o G^{-1}.
+    btilde(G(x)) = beta(x) = b(x) G'(x) + sigma(x)^2 G''(x) / 2,
+    sigmatilde(G(x)) = sigma(x) G'(x).
+
+The transformed step and the probe of the declared constants work in
+x-space with these closed forms of ``G``, ``G'``, ``G''`` and ``beta``; they
+never evaluate ``G^{-1}``.  :func:`invert_transform` serves the transform
+dump and the tests.
 
 The curvature jump of ``G`` at ``xi_k`` (``G''(xi_k+-) = +-2 alpha_k``) cancels
 the drift jump; the cancellation identity is
@@ -60,7 +66,6 @@ __all__ = [
 
 Array = np.ndarray
 
-_INVERSE_RTOL = 1e-12
 _LIMIT_DELTA = 1e-8
 _LIMIT_RTOL = 1e-6
 
@@ -88,10 +93,6 @@ def _f2(u: Array) -> Array:
 def _f3(u: Array) -> Array:
     u2 = u * u
     return u * (-72.0 + 360.0 * u2 - 336.0 * u2 * u2)
-
-
-# sup over [0, 1] of |f1|, attained at u^2 = (17 + sqrt(177)) / 56; rounded up
-_BUMP_SLOPE_SUP = 0.3608
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +137,6 @@ class PiecewiseTransform:
         worst = max((abs(a) for a in self.alphas), default=0.0)
         return 1.0 + 6.0 * self.c0 * worst
 
-    @property
-    def inverse_lipschitz_bound(self) -> float:
-        """Sound upper bound on ``sup (G^{-1})' = 1 / inf G'``."""
-        # the 6 c0 envelope on the bump slope degenerates at the admissible
-        # cap 6 c0 max|alpha| = 1; the true slope sup 0.360750... keeps the
-        # reciprocal finite everywhere the constructor accepts
-        worst = max((abs(a) for a in self.alphas), default=0.0)
-        return 1.0 / (1.0 - _BUMP_SLOPE_SUP * self.c0 * worst)
-
     # -- evaluation ---------------------------------------------------------
 
     def _accumulate(self, x: "Array | float", term: Callable[[Array, float], Array],
@@ -184,59 +176,24 @@ class PiecewiseTransform:
         return self._accumulate(x, term)
 
     def inverse(self, y: "Array | float") -> "Array | float":
-        """``G^{-1}(y)`` to relative accuracy 1e-12; exact identity off the bumps."""
+        """``G^{-1}(y)`` by :func:`invert_transform`; exact identity off the bumps."""
         return invert_transform(self, y)
 
 
 def invert_transform(transform: PiecewiseTransform, y: "Array | float") -> "Array | float":
     """Solve ``G(x) = y`` for ``x``.
 
-    Outside the bump images (which coincide with the bump supports, since
-    ``G`` fixes each interval ``[xi_k - c0, xi_k + c0]`` setwise) the result
-    is ``y`` itself, bit for bit.  Inside, a safeguarded Newton iteration with
-    a bisection fallback on ``[y - c0, y + c0]`` runs until
-
-        |G(x) - y| <= 1e-12 * (1 + |y|).
-
-    Each element's iteration is independent of the rest of the batch, so
-    results do not depend on how inputs are grouped into calls.
+    This is :func:`awsde.schemes.implicit_solve` applied to ``x - (x - G(x))
+    = y``: it runs until ``|G(x) - y| <= 1e-12 (1 + |y|)`` and raises
+    :class:`~awsde.errors.BracketError` if it does not converge.  Off the
+    bumps ``x - G(x)`` is exactly 0, so there the result is ``y`` itself, bit
+    for bit.  Each element is solved independently of the rest of the batch,
+    so results do not depend on how inputs are grouped into calls.
     """
-    ys = np.asarray(y, dtype=float)
-    out = ys.copy()
-    if transform.is_identity:
-        return out if np.ndim(y) else float(out)
-    c0 = transform.c0
-    solve = np.zeros(ys.shape, dtype=bool)
-    for xi, alpha in zip(transform.breakpoints, transform.alphas):
-        if alpha != 0.0:
-            solve |= np.abs(ys - xi) < c0
+    from .schemes import implicit_solve  # schemes imports this module
 
-    if solve.any():
-        yv = ys[solve]
-        lo = yv - c0
-        hi = yv + c0
-        x = yv.copy()
-        tol = _INVERSE_RTOL * (1.0 + np.abs(yv))
-        res = np.asarray(transform.g(x)) - yv
-        active = np.abs(res) > tol
-        for _ in range(200):
-            if not active.any():
-                break
-            # Bracket update keeps G(lo) <= y <= G(hi); G is increasing.
-            lo = np.where(active & (res < 0.0), x, lo)
-            hi = np.where(active & (res > 0.0), x, hi)
-            deriv = np.asarray(transform.g_prime(x))
-            step = res / deriv
-            cand = x - step
-            bad = (cand <= lo) | (cand >= hi)
-            cand = np.where(bad, 0.5 * (lo + hi), cand)
-            x = np.where(active, cand, x)
-            res = np.where(active, np.asarray(transform.g(x)) - yv, res)
-            active = np.abs(res) > tol
-        if active.any():
-            raise AssumptionError("transform inversion did not converge; G may not be monotone")
-        out[solve] = x
-    return out if np.ndim(y) else float(out)
+    # solve on a copy: implicit_solve hands back its input where nothing moves
+    return implicit_solve(np.array(y, dtype=float), lambda v: v - transform.g(v), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +259,28 @@ def build_transform(spec: CoefficientSpec) -> PiecewiseTransform:
 
 @dataclass(frozen=True, eq=False)
 class TransformedCoefficients:
-    """Coefficients of the transformed SDE ``dY = btilde(Y) dt + sigmatilde(Y) dW``.
+    """Coefficients of the transformed SDE ``dY = btilde(Y) dt + sigmatilde(Y) dW``, in x-space.
 
-    ``one_sided_bound`` and ``lipschitz_bound`` are declared constants
-    (cross-checked against a probe at construction), never probe estimates.
-    ``drift`` and ``diffusion`` evaluate ``btilde`` and ``sigmatilde`` through
-    ``G^{-1}``; they serve that probe and the tests, not the stepping path,
-    which solves the step in x-space from ``G``, ``G'`` and ``G''`` (see
-    :func:`awsde.schemes.transformed_step`).
+    At ``Y = G(x)`` they are ``btilde(G(x)) = beta(x)`` (see :meth:`beta`)
+    and ``sigmatilde(G(x)) = sigma(x) G'(x)``, so no ``G^{-1}`` is needed to
+    evaluate them.  ``one_sided_bound`` and ``lipschitz_bound`` are declared
+    constants for ``btilde`` and ``sigmatilde`` (cross-checked against a
+    probe at construction), never probe estimates.
     """
 
-    drift: Callable[["Array | float"], "Array | float"]
-    diffusion: Callable[["Array | float"], "Array | float"]
     one_sided_bound: float
     lipschitz_bound: float
     transform: PiecewiseTransform
     base: CoefficientSpec
+
+    def beta(self, x: "Array | float") -> "Array | float":
+        """``beta(x) = b(x) G'(x) + sigma(x)^2 G''(x) / 2``, the transformed drift at ``G(x)``."""
+        spec, tr = self.base, self.transform
+        xs = np.asarray(x, dtype=float)
+        sig = np.asarray(spec.diffusion(0.0, xs))
+        val = np.asarray(spec.drift(0.0, xs)) * np.asarray(tr.g_prime(xs)) \
+            + 0.5 * sig * sig * np.asarray(tr.g_second(xs))
+        return val if np.ndim(x) else float(val)
 
 
 def _probe_points(transform: PiecewiseTransform) -> Array:
@@ -335,9 +298,10 @@ def transformed_coefficients(
     For a breakpoint-free spec the constants fall back to the spec's own
     bounds; otherwise ``transformed_drift_bound`` and
     ``transformed_diffusion_bound`` must be declared.  A finite-difference
-    probe around the bumps cross-checks the declarations and raises
-    ``ConfigurationError`` with a witness pair if the observed slope exceeds a
-    declared constant by more than 1 percent.
+    probe around the bumps cross-checks the declarations: it takes chord
+    slopes of ``beta`` and ``sigma G'`` against ``G`` on probe points ``x``
+    and raises ``ConfigurationError`` with a witness pair if a slope is not
+    finite or exceeds a declared constant by more than 1 percent.
     """
     if transform is None:
         transform = build_transform(spec)
@@ -359,50 +323,29 @@ def transformed_coefficients(
                 "declared to step the transformed scheme; they are never estimated"
             )
 
-    def drift(z: "Array | float") -> "Array | float":
-        x = transform.inverse(z)
-        xs = np.asarray(x, dtype=float)
-        b = np.asarray(spec.drift(0.0, xs), dtype=float)
-        sig = np.asarray(spec.diffusion(0.0, xs), dtype=float)
-        val = b * np.asarray(transform.g_prime(xs)) \
-            + 0.5 * sig * sig * np.asarray(transform.g_second(xs))
-        return val if np.ndim(z) else float(val)
-
-    def diffusion(z: "Array | float") -> "Array | float":
-        x = transform.inverse(z)
-        xs = np.asarray(x, dtype=float)
-        sig = np.asarray(spec.diffusion(0.0, xs), dtype=float)
-        val = sig * np.asarray(transform.g_prime(xs))
-        return val if np.ndim(z) else float(val)
-
-    # Probe cross-check of the declared constants on a bump-dense grid.
-    xs = _probe_points(transform)
-    zs = np.asarray(transform.g(xs))
-    bt = np.asarray(drift(zs))
-    st = np.asarray(diffusion(zs))
-    dz = np.diff(zs)
-    drift_slopes = np.diff(bt) / dz
-    diff_slopes = np.abs(np.diff(st)) / dz
-    worst_drift = float(drift_slopes.max())
-    worst_diff = float(diff_slopes.max())
-    if worst_drift > l_drift * 1.01 + 1e-9:
-        i = int(np.argmax(drift_slopes))
-        raise ConfigurationError(
-            f"declared transformed drift bound {l_drift} is exceeded by the probe: "
-            f"slope {worst_drift:.6g} between z={zs[i]!r} and z={zs[i + 1]!r}"
-        )
-    if worst_diff > l_diff * 1.01 + 1e-9:
-        i = int(np.argmax(diff_slopes))
-        raise ConfigurationError(
-            f"declared transformed diffusion bound {l_diff} is exceeded by the probe: "
-            f"slope {worst_diff:.6g} between z={zs[i]!r} and z={zs[i + 1]!r}"
-        )
-
-    return TransformedCoefficients(
-        drift=drift,
-        diffusion=diffusion,
+    tc = TransformedCoefficients(
         one_sided_bound=float(l_drift),
         lipschitz_bound=float(l_diff),
         transform=transform,
         base=spec,
     )
+
+    # Probe cross-check of the declared constants on a bump-dense grid, in
+    # x-space; points whose G values coincide are merged, so every chord in z
+    # has positive length.
+    xs = _probe_points(transform)
+    zs, first = np.unique(np.asarray(transform.g(xs)), return_index=True)
+    xs = xs[first]
+    st = np.asarray(spec.diffusion(0.0, xs)) * np.asarray(transform.g_prime(xs))
+    dz = np.diff(zs)
+    probes = (("drift", l_drift, np.diff(np.asarray(tc.beta(xs))) / dz),
+              ("diffusion", l_diff, np.abs(np.diff(st)) / dz))
+    for what, bound, slopes in probes:
+        i = int(np.argmax(slopes))  # the first nan, if there is one
+        worst = float(slopes[i])
+        if not math.isfinite(worst) or worst > bound * 1.01 + 1e-9:
+            raise ConfigurationError(
+                f"declared transformed {what} bound {bound} is exceeded by the probe: "
+                f"slope {worst:.6g} between z={zs[i]!r} and z={zs[i + 1]!r}"
+            )
+    return tc

@@ -151,7 +151,7 @@ def test_criterion_07_one_step_monotonicity():
     started = time.perf_counter()
     tc = transformed_coefficients(builtin_model("sign_drift"))
     h = 2.0**-13
-    a_h = truncation_level(h).value
+    a_h = truncation_level(h)
     assert h < 1.0 / tc.one_sided_bound
     assert 1.0 - tc.lipschitz_bound * a_h > 0.0
     rng = np.random.default_rng(77)

@@ -1,7 +1,6 @@
 """Exact stagewise transport on finite trees: values, plans, order checks."""
 
 import itertools
-import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -24,9 +23,6 @@ from awsde import (
     plan_cost,
     power_cost,
     process,
-    process_from_json,
-    process_to_json,
-    processes_equal,
 )
 from awsde._instances import random_comonotone_pair, random_tree_process
 
@@ -248,23 +244,6 @@ def test_quasi_monotone_fractional_power():
         xs = [Fraction(round(v * 16), 16) for v in xs]
         ys = [Fraction(round(v * 16), 16) for v in ys]
         assert check_quasi_monotone(cost, xs, ys).holds
-
-
-def test_json_round_trip():
-    for seed in range(4):
-        proc = random_tree_process(random.Random(300 + seed), 2)
-        text = process_to_json(proc)
-        assert processes_equal(process_from_json(text), proc)
-        doc = json.loads(text)
-        assert all(isinstance(nd["value"], str) for nd in doc["nodes"])
-
-
-def test_json_refuses_float_values():
-    proc = process(1, [node(1, Fraction(1, 2)), node(2, Fraction(1, 2))])
-    doc = json.loads(process_to_json(proc))
-    doc["nodes"][0]["value"] = 0.5
-    with pytest.raises(ConfigurationError):
-        process_from_json(json.dumps(doc))
 
 
 def test_float_inputs_refused_at_construction():

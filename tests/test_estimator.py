@@ -24,7 +24,6 @@ from awsde import (
     strong_error_curve,
     truncation_level,
     write_aw_estimates_csv,
-    write_moments_csv,
     write_rate_curve_csv,
 )
 from awsde.estimator import FIT_FLOOR, _fit_loglog
@@ -336,6 +335,13 @@ def test_brownian_running_sup_second_moment():
     assert 1.0 < rows[0].sup_moment < 4.0
 
 
+def test_moment_diagnostic_validates_paths():
+    spec = builtin_model("cubic")
+    for paths in (0, -3, 2.5, "16"):
+        with pytest.raises(ConfigurationError, match="paths"):
+            moment_diagnostic(spec, "iem", 2.0, [2.0**-3], paths, 3)
+
+
 def test_moment_diagnostic_worker_invariance():
     spec = builtin_model("cubic")
     args = (spec, "tiem", 4.0, [2.0**-4, 2.0**-5], 300, 13)
@@ -352,7 +358,7 @@ def test_moment_diagnostic_worker_invariance():
 def test_one_step_cdf_band_and_centre():
     sigma = lambda x: 2.0
     h = 2.0**-4
-    a_h = truncation_level(h).value
+    a_h = truncation_level(h)
     assert one_step_cdf(sigma, h, 0.0, -2.0 * a_h - 1e-9) == 0.0
     assert one_step_cdf(sigma, h, 0.0, 2.0 * a_h) == 1.0
     assert one_step_cdf(sigma, h, 0.0, 0.0) == 0.5
@@ -373,7 +379,7 @@ def test_square_root_diffusion_yields_verified_witness():
     assert witness is not None
     assert 0.0 <= witness.z < witness.z_bar <= 1.0
     assert witness.step == h
-    assert witness.truncation == truncation_level(h).value
+    assert witness.truncation == truncation_level(h)
     # recompute both crossings from the kernel itself
     low_z = one_step_cdf(sigma, h, witness.z, witness.a_lower)
     low_zbar = one_step_cdf(sigma, h, witness.z_bar, witness.a_lower)
@@ -388,7 +394,7 @@ def test_square_root_diffusion_yields_verified_witness():
 def test_tame_diffusions_yield_no_witness():
     h = 2.0**-4
     assert monotonicity_witness(lambda x: 1.0, h) is None
-    a_h = truncation_level(h).value
+    a_h = truncation_level(h)
     # Lipschitz constant 1 / (2 a_h) keeps the bands nested
     assert monotonicity_witness(lambda x: 1.0 + abs(x) / (2.0 * a_h), h) is None
 
@@ -424,16 +430,6 @@ def test_rate_curve_csv_round_trip(tmp_path):
     assert float(first[1]) == curve.err_sup[0]
     assert float(first[2]) == curve.err_int[0]
     assert float(first[3]) == curve.stderr[0]
-
-
-def test_moments_csv_columns(tmp_path):
-    rows = moment_diagnostic(builtin_model("cubic"), "iem", 2.0, [2.0**-3], 16, 3)
-    path = tmp_path / "moments.csv"
-    write_moments_csv(os.fspath(path), rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "h,p,sup_moment"
-    assert lines[1].split(",")[0] == "0.125"
-    assert float(lines[1].split(",")[2]) == rows[0].sup_moment
 
 
 def test_aw_estimates_csv_columns(tmp_path):

@@ -30,19 +30,19 @@ def test_grid_validation():
 
 def test_truncation_level_values():
     # a_h = 4 sqrt(h log(1/h)); closed forms at h = 1/e and h = 1/4
-    assert truncation_level(math.exp(-1.0)).value == pytest.approx(4.0 * math.exp(-0.5), rel=1e-12)
-    assert truncation_level(0.25).value == pytest.approx(4.0 * math.sqrt(0.25 * math.log(4.0)), rel=1e-12)
-    assert truncation_level(0.25).value == pytest.approx(2.3548200450309493, rel=1e-12)
+    assert truncation_level(math.exp(-1.0)) == pytest.approx(4.0 * math.exp(-0.5), rel=1e-12)
+    assert truncation_level(0.25) == pytest.approx(4.0 * math.sqrt(0.25 * math.log(4.0)), rel=1e-12)
+    assert truncation_level(0.25) == pytest.approx(2.3548200450309493, rel=1e-12)
 
 
 def test_truncation_level_decreasing_in_k():
-    levels = [truncation_level(2.0 ** -k).value for k in range(2, 21)]
+    levels = [truncation_level(2.0 ** -k) for k in range(2, 21)]
     assert all(a > b for a, b in zip(levels, levels[1:]))
 
 
 def test_truncation_level_accepts_grid():
     grid = TimeGrid(horizon=1.0, steps=4)
-    assert truncation_level(grid).value == truncation_level(0.25).value
+    assert truncation_level(grid) == truncation_level(0.25)
 
 
 def test_same_stream_id_reproduces():
@@ -95,7 +95,7 @@ def test_truncation_error_moment():
     # E|dW - clipped dW|^2 < h^2 at h = 2^-6, checked on 10^7 draws
     h = 2.0 ** -6
     grid = TimeGrid(horizon=1.0, steps=64)
-    a_h = truncation_level(grid).value
+    a_h = truncation_level(grid)
     rows = 10 ** 7 // 64
     block = sample_increment_block(grid, seed=3, start=0, count=rows)
     clipped = np.clip(block, -a_h, a_h)

@@ -131,7 +131,7 @@ def test_transformed_step_solves_the_xspace_equation(offset, noise, k):
     assert h < 1.0 / tc.one_sided_bound
     spec, tr = tc.base, tc.transform
     x = 1.0 + offset * tr.c0
-    dw = noise * truncation_level(h).value
+    dw = noise * truncation_level(h)
     x_new = transformed_step(tc, x, h, dw)
     # G(x') - h beta(x') = G(x) + sigma(x) G'(x) dW from the closed forms alone
     rhs = tr.g(x) + spec.diffusion(0.0, x) * tr.g_prime(x) * dw
@@ -152,11 +152,18 @@ def test_transformed_step_agrees_with_the_zspace_composition(h):
     rng = np.random.default_rng(5)
     xs = np.concatenate([rng.uniform(1.0 - 2 * tr.c0, 1.0 + 2 * tr.c0, 2000),
                          rng.uniform(0.5, 1.5, 500)])
-    a_h = truncation_level(h).value
+    a_h = truncation_level(h)
     dws = rng.uniform(-a_h, a_h, xs.size)
+
+    def btilde(z):
+        return tc.beta(tr.inverse(z))
+
+    def sigmatilde(z):
+        x = np.asarray(tr.inverse(z))
+        return np.asarray(tc.base.diffusion(0.0, x)) * np.asarray(tr.g_prime(x))
+
     zs = np.asarray(tr.g(xs))
-    old = np.asarray(tr.inverse(implicit_solve(zs + np.asarray(tc.diffusion(zs)) * dws,
-                                               tc.drift, h)))
+    old = np.asarray(tr.inverse(implicit_solve(zs + sigmatilde(zs) * dws, btilde, h)))
     new = transformed_step(tc, xs, h, dws)
     assert new == pytest.approx(old, rel=1e-10)
 
@@ -323,7 +330,7 @@ def test_block_rows_follow_the_public_kernel(alias, model):
     cfg = config_from_alias(alias, builtin_model(model), guard_policy="warn")
     dws = sample_increment_block(grid, seed=17, start=0, count=3)
     if cfg.monotone:
-        a_h = truncation_level(grid).value
+        a_h = truncation_level(grid)
         dws = np.clip(dws, -a_h, a_h)
     block = simulate_path_block(cfg, grid, seed=17, start=0, count=3)
     for row, dw in zip(block, dws):
@@ -336,7 +343,8 @@ def test_implicit_map_strictly_increasing():
     assert np.all(np.diff(zs) > 0.0)
     tc = transformed_coefficients(builtin_model("sign_drift"))
     ys = np.linspace(0.5, 1.5, 401)
-    zs = implicit_solve(ys, tc.drift, 2.0 ** -10)
+    # the transformed drift in z-space, btilde = beta o G^{-1}
+    zs = implicit_solve(ys, lambda z: tc.beta(tc.transform.inverse(z)), 2.0 ** -10)
     assert np.all(np.diff(zs) > 0.0)
 
 
@@ -347,12 +355,12 @@ def test_one_step_monotone_in_state_and_noise():
     tc = transformed_coefficients(spec)
     h = 2.0 ** -13
     assert h < 1.0 / tc.one_sided_bound
-    assert 1.0 - tc.lipschitz_bound * truncation_level(h).value > 0.0
+    assert 1.0 - tc.lipschitz_bound * truncation_level(h) > 0.0
     rng = np.random.default_rng(77)
     n = 10_000
     xs = rng.uniform(0.5, 1.5, size=n)
     gaps = rng.uniform(1e-6, 0.25, size=n)
-    a_h = truncation_level(h).value
+    a_h = truncation_level(h)
     dws = rng.uniform(-a_h, a_h, size=n)
     lo = transformed_step(tc, xs, h, dws)
     hi = transformed_step(tc, xs + gaps, h, dws)
@@ -368,7 +376,7 @@ def test_truncated_driver_respects_level():
     # zero drift and unit diffusion each step moves by the clipped increment
     cfg = config_from_alias("tiem-mono", builtin_model("perturbed_sign", k=0.0))
     grid = TimeGrid(1.0, 4)
-    a_h = truncation_level(grid).value
+    a_h = truncation_level(grid)
     raw = np.array([[3.0, 0.1, -3.0, -0.1]])
     path = _step_matrix(cfg, grid, raw)[0]
     assert np.array_equal(path, np.cumsum([0.0, a_h, 0.1, -a_h, -0.1]))

@@ -11,11 +11,8 @@ from awsde import (
     ConfigurationError,
     InstanceTooLargeError,
     PathPayoff,
-    asian_payoff,
-    builtin_payoff,
     coordinate_payoff,
     enumerate_stopping_value,
-    negated_payoff,
     node,
     perturbed_start_pair,
     process,
@@ -26,6 +23,13 @@ from awsde import (
 from awsde._instances import random_stopping_instance, random_tree_process
 
 SUP = coordinate_payoff("sup")
+
+
+def _running_sum_payoff(step: Fraction) -> PathPayoff:
+    """``L(k, g) = step * (g_1 + ... + g_k)`` on two-stage trees, to be maximised."""
+    return PathPayoff(evaluate=lambda k, prefix: step * sum(prefix),
+                      lipschitz_constant=float(step) * math.sqrt(2.0),
+                      objective="sup", name="running-sum")
 
 
 def test_martingale_sup_value_zero():
@@ -55,8 +59,10 @@ def test_constant_process_value_is_the_constant():
 def test_sup_is_negated_inf_of_negated_payoff():
     for seed in range(5):
         proc = random_tree_process(random.Random(seed), 2)
-        for payoff in (SUP, asian_payoff(2, 2, step=Fraction(1, 2), objective="sup")):
-            assert snell_value(proc, payoff) == -snell_value(proc, negated_payoff(payoff))
+        for payoff in (SUP, _running_sum_payoff(Fraction(1, 2))):
+            negated = PathPayoff(evaluate=lambda k, prefix, f=payoff.evaluate: -f(k, prefix),
+                                 lipschitz_constant=payoff.lipschitz_constant, objective="inf")
+            assert snell_value(proc, payoff) == -snell_value(proc, negated)
 
 
 def test_snell_matches_exhaustive_rule_enumeration():
@@ -64,7 +70,7 @@ def test_snell_matches_exhaustive_rule_enumeration():
         proc = random_tree_process(random.Random(40 + seed), 2)
         try:
             for payoff in (SUP, coordinate_payoff("inf"),
-                           asian_payoff(2, 1, step=Fraction(1, 4), objective="sup")):
+                           _running_sum_payoff(Fraction(1, 4))):
                 assert snell_value(proc, payoff) == enumerate_stopping_value(proc, payoff)
         except InstanceTooLargeError:
             continue
@@ -127,31 +133,8 @@ def test_wrong_lipschitz_declaration_is_falsified():
         stopping_stability_gap(mu, nu, cheat, 2)
 
 
-def test_asian_constant_formula():
-    payoff = asian_payoff(3, 2.0)
-    assert payoff.lipschitz_constant == pytest.approx(math.sqrt(3.0), rel=1e-15)
-    scaled = asian_payoff(4, 2.0, step=0.5, f_lipschitz=2.0)
-    assert scaled.lipschitz_constant == pytest.approx(2.0 * 0.5 * 4 ** 0.5, rel=1e-15)
-    # p = 1 removes the Hoelder factor entirely
-    assert asian_payoff(7, 1.0).lipschitz_constant == 1.0
-
-
-def test_asian_payoff_exact_running_sum():
-    payoff = asian_payoff(2, 2, step=Fraction(1, 2))
-    assert payoff.evaluate(2, (Fraction(1), Fraction(3))) == Fraction(2)
-
-
-def test_builtin_payoff_names():
-    assert builtin_payoff("coordinate", objective="sup").name == "coordinate"
-    assert builtin_payoff("asian", stages=2, p=2).name == "asian"
-    with pytest.raises(ConfigurationError):
-        builtin_payoff("lookback")
-
-
 def test_payoff_validation():
     with pytest.raises(ConfigurationError):
         coordinate_payoff("max")
     with pytest.raises(ConfigurationError):
         PathPayoff(evaluate=lambda k, g: 0, lipschitz_constant=0.0, objective="sup")
-    with pytest.raises(ConfigurationError):
-        asian_payoff(0, 2)

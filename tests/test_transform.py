@@ -12,6 +12,7 @@ from awsde import (
     PiecewiseTransform,
     build_transform,
     builtin_model,
+    config_from_alias,
     invert_transform,
     transformed_coefficients,
 )
@@ -109,9 +110,7 @@ def test_transform_validation():
         # 6 c0 |alpha| > 1 leaves the monotonicity envelope
         PiecewiseTransform(breakpoints=(0.0,), alphas=(4.0,), c0=0.5)
     # the boundary case 6 c0 |alpha| = 1 is admissible
-    tr = PiecewiseTransform(breakpoints=(0.0,), alphas=(1.0,), c0=1.0 / 6.0)
-    assert np.isfinite(tr.inverse_lipschitz_bound)
-    assert tr.inverse_lipschitz_bound < 1.1
+    PiecewiseTransform(breakpoints=(0.0,), alphas=(1.0,), c0=1.0 / 6.0)
 
 
 def test_transformed_drift_continuous_at_breakpoints(synthetic_spec):
@@ -119,17 +118,19 @@ def test_transformed_drift_continuous_at_breakpoints(synthetic_spec):
         tc = transformed_coefficients(spec)
         tr = tc.transform
         for xi in tr.breakpoints:
-            lo = float(tc.drift(float(tr.g(xi - 1e-8))))
-            hi = float(tc.drift(float(tr.g(xi + 1e-8))))
+            lo = tc.beta(xi - 1e-8)
+            hi = tc.beta(xi + 1e-8)
             assert abs(hi - lo) <= 1e-6 * (1.0 + abs(lo))
 
 
 def test_transformed_coefficients_match_raw_outside_bumps():
     spec = builtin_model("sign_drift")
     tc = transformed_coefficients(spec)
-    zs = np.array([-2.0, 0.5, 1.0 - 1.5 * tc.transform.c0, 1.0 + 1.5 * tc.transform.c0, 3.0])
-    assert np.array_equal(np.asarray(tc.drift(zs)), np.asarray(spec.drift(0.0, zs)))
-    assert np.array_equal(np.asarray(tc.diffusion(zs)), np.asarray(spec.diffusion(0.0, zs)))
+    xs = np.array([-2.0, 0.5, 1.0 - 1.5 * tc.transform.c0, 1.0 + 1.5 * tc.transform.c0, 3.0])
+    # there G(x) = x, btilde(x) = beta(x) and sigmatilde(x) = sigma(x) G'(x)
+    assert np.array_equal(np.asarray(tc.transform.g(xs)), xs)
+    assert np.array_equal(np.asarray(tc.beta(xs)), np.asarray(spec.drift(0.0, xs)))
+    assert np.array_equal(np.asarray(tc.transform.g_prime(xs)), np.ones_like(xs))
 
 
 def test_transformed_constants_are_declared_values():
@@ -153,9 +154,44 @@ def test_missing_declared_bounds_rejected():
 
 
 def test_wrong_declared_bound_caught_by_probe():
-    spec = dataclasses.replace(builtin_model("sign_drift"), transformed_drift_bound=50.0)
-    with pytest.raises(ConfigurationError):
-        transformed_coefficients(spec)
+    sign = builtin_model("sign_drift")
+
+    def drift_nan_inside_bump(t, x):
+        b = np.asarray(sign.drift(t, x), dtype=float)
+        return np.where(np.abs(np.asarray(x) - 1.01) < 0.005, np.nan, b)
+
+    for spec in (
+        dataclasses.replace(sign, transformed_drift_bound=50.0),
+        # below the probe slope 2.78 at k = 1; two of the probe points map to
+        # the same z, and their 0/0 chord must not hide that slope
+        dataclasses.replace(builtin_model("perturbed_sign", k=1.0), transformed_drift_bound=2.4),
+        # a slope that is not finite bounds nothing
+        dataclasses.replace(sign, drift=drift_nan_inside_bump),
+    ):
+        with pytest.raises(ConfigurationError, match="exceeded by the probe"):
+            transformed_coefficients(spec)
+
+
+def test_perturbed_sign_steps_with_the_transformed_scheme_for_every_k():
+    for k in range(1, 11):
+        config_from_alias("tiem", builtin_model("perturbed_sign", k=float(k)))
+
+
+def test_building_transformed_coefficients_never_inverts(monkeypatch):
+    import awsde.transform
+
+    calls = []
+    original = awsde.transform.invert_transform
+
+    def counting(transform, y):
+        calls.append(np.size(y))
+        return original(transform, y)
+
+    monkeypatch.setattr(awsde.transform, "invert_transform", counting)
+    spec = builtin_model("sign_drift")
+    transformed_coefficients(spec)
+    config_from_alias("tiem-mono", spec)
+    assert calls == []
 
 
 def test_wrong_regularity_class_rejected():
