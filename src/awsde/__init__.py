@@ -42,6 +42,7 @@ from .estimator import (
     RateCurve,
     SlopeFit,
     estimate_aw,
+    estimate_aw_sweep,
     estimate_vc,
     moment_diagnostic,
     monotonicity_witness,
@@ -74,6 +75,7 @@ from .schemes import (
     semi_implicit_em_step,
     simulate_coupled_block,
     simulate_path_block,
+    simulate_synchronous_block,
     symmetrised_em_step,
     transformed_step,
 )
@@ -131,6 +133,7 @@ __all__ = [
     "semi_implicit_em_step",
     "transformed_step",
     "symmetrised_em_step",
+    "simulate_synchronous_block",
     "simulate_path_block",
     "simulate_coupled_block",
     # trees and exact transport
@@ -167,6 +170,7 @@ __all__ = [
     "power_time_cost",
     "estimate_vc",
     "estimate_aw",
+    "estimate_aw_sweep",
     "strong_error_curve",
     "moment_diagnostic",
     "one_step_cdf",

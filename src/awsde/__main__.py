@@ -1,0 +1,8 @@
+"""``python -m awsde``: the ``awsde`` command line, runnable from a checkout without installing."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,7 +36,8 @@ from .discrete_bicausal import (
 from .errors import AwsdeError, ConfigurationError
 from .estimator import (
     _write_csv,
-    estimate_aw,
+    estimate_aw,  # noqa: F401  not called here; perfbench/spans.py wraps cli.estimate_aw
+    estimate_aw_sweep,
     strong_error_curve,
     write_aw_estimates_csv,
     write_rate_curve_csv,
@@ -213,20 +214,23 @@ def _perturbed_start_snell_values() -> list[dict]:
 
 
 def _estimate_rows(config, grid, paths, base_spec, perturbed, alias, p):
-    """AW estimates of ``base_spec`` against each ``(label, spec)`` in turn."""
-    base_cfg = config_from_alias(alias, base_spec)
+    """AW estimates of ``base_spec`` against every ``(label, spec)`` in ``perturbed``.
+
+    One sweep: each path is drawn once and its base leg stepped once, and
+    every perturbed leg is stepped from the same increments.  Each row is
+    what a separate :func:`estimate_aw` call on its pair would give.
+    """
+    results = estimate_aw_sweep(
+        config_from_alias(alias, base_spec),
+        [config_from_alias(alias, spec) for _, spec in perturbed],
+        p,
+        grid,
+        paths,
+        config.seed,
+        workers=config.workers,
+    )
     rows, points = [], []
-    for label, spec in perturbed:
-        result = estimate_aw(
-            base_spec,
-            spec,
-            (base_cfg, config_from_alias(alias, spec)),
-            p,
-            grid,
-            paths,
-            config.seed,
-            workers=config.workers,
-        )
+    for (label, _), result in zip(perturbed, results):
         rows.append((label, result.estimate, result.stderr, paths, grid.step, config.seed))
         points.append({"label": label, "estimate": result.estimate, "stderr": result.stderr})
     return rows, points
@@ -257,15 +261,20 @@ def _run_fig_cir(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     p = float(config.p) if config.p is not None else 2.0
     alias = config.scheme or "sym-em"
     base = builtin_model("cir")
+    perturbed = [
+        (d, builtin_model("cir", **{param: 1.0 + d}))
+        for _, param in _CIR_PARAMS
+        for d in _CIR_DELTAS
+    ]
+    rows, points = _estimate_rows(config, grid, paths, base, perturbed, alias, p)
     outputs: list[str] = []
     report = {"p": p, "scheme": alias, "h": grid.step, "paths": paths, "curves": {}}
-    for label, param in _CIR_PARAMS:
-        perturbed = [(d, builtin_model("cir", **{param: 1.0 + d})) for d in _CIR_DELTAS]
-        rows, points = _estimate_rows(config, grid, paths, base, perturbed, alias, p)
+    n = len(_CIR_DELTAS)
+    for i, (label, _) in enumerate(_CIR_PARAMS):
         name = f"aw_estimates_{label}.csv"
-        write_aw_estimates_csv(out / name, rows)
+        write_aw_estimates_csv(out / name, rows[i * n:(i + 1) * n])
         outputs.append(name)
-        report["curves"][label] = points
+        report["curves"][label] = points[i * n:(i + 1) * n]
     return outputs, report
 
 

@@ -14,8 +14,12 @@ class AwsdeError(Exception):
     """Base class for package errors."""
 
 
-class ConfigurationError(AwsdeError):
-    """Missing or inconsistent user-supplied constants or options."""
+class ConfigurationError(AwsdeError, ValueError):
+    """Missing or inconsistent user-supplied constants or options.
+
+    Also a :class:`ValueError`, so callers that catch bad values generically
+    keep working.
+    """
 
 
 class AssumptionError(AwsdeError):

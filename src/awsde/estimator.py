@@ -2,10 +2,16 @@
 
 The adapted (bicausal) transport value between two SDE laws is attained by the
 synchronous coupling: drive both equations with the same Brownian motion and
-integrate the stage cost along the pair.  The estimator therefore simulates
-both legs from identical increment streams and averages the h-weighted Riemann
-sum ``h * sum_{k=0..N} c(t_k, X_k, Y_k)`` over paths; for the power cost this
-estimates the p-th power of the adapted distance.
+integrate the stage cost along the pair.  The estimator averages the
+h-weighted Riemann sum ``h * sum_{k=0..N} c(t_k, X_k, Y_k)`` over paths; for
+the power cost this estimates the p-th power of the adapted distance.
+
+One draw per block, every leg stepped from it: a sweep of one base law
+against several others (:func:`estimate_aw_sweep`) draws each 256-path
+block's increments once, steps the base leg once, then steps, reduces and
+drops each other leg in turn from the same increments.  A single pair
+(:func:`estimate_vc`, :func:`estimate_aw`) is the one-leg case of that loop,
+so a pair's estimate is the same whether it is computed alone or in a sweep.
 
 Also here: the strong-error convergence harness (coupled coarse/fine grids
 against a fine-step reference), empirical sup-moment tables, and the search
@@ -38,6 +44,7 @@ from .schemes import (
     guard_report,
     simulate_coupled_block,
     simulate_path_block,
+    simulate_synchronous_block,
 )
 
 __all__ = [
@@ -50,6 +57,7 @@ __all__ = [
     "power_time_cost",
     "estimate_vc",
     "estimate_aw",
+    "estimate_aw_sweep",
     "strong_error_curve",
     "moment_diagnostic",
     "one_step_cdf",
@@ -125,8 +133,76 @@ def _coverage_notes(*specs: CoefficientSpec) -> list[str]:
         for message in spec.warnings:
             notes.append(f"model {spec.name!r}: {message}; optimality not certified")
     for message in notes:
-        _warnings.warn(message, RuntimeWarning, stacklevel=3)
+        # attributed to the caller of estimate_vc or estimate_aw_sweep
+        _warnings.warn(message, RuntimeWarning, stacklevel=4)
     return notes
+
+
+def _synchronous_estimates(
+    base: StepperConfig,
+    others: Sequence[StepperConfig],
+    cost: Callable[[Array, Array, Array], Array],
+    grid: TimeGrid,
+    paths: int,
+    seed: int,
+    workers: int,
+) -> tuple[EstimateResult, ...]:
+    """Transport estimates of ``base`` against each of ``others``, from one draw per block.
+
+    Each block's increments are drawn once and the base leg is stepped once;
+    every other leg is then stepped from the same increments, reduced to its
+    per-path sums and dropped before the next one is stepped.  Result ``i`` is
+    bit for bit what a block loop over the pair ``(base, others[i])`` alone
+    gives.
+    """
+    if not isinstance(paths, int) or paths < 1:
+        raise ConfigurationError(f"paths must be a positive integer, got {paths!r}")
+    others = tuple(others)
+    notes = []
+    for other in others:
+        notes.append(_coverage_notes(base.spec, other.spec))
+    t_row = grid.times()[None, :]
+    h = grid.step
+    per_path = [np.empty(paths, dtype=np.float64) for _ in others]
+
+    def work(_b: int, start: int, count: int) -> None:
+        legs = simulate_synchronous_block((base, *others), grid, seed, start, count)
+        x = next(legs)
+        for sums, y in zip(per_path, legs):
+            c = np.asarray(cost(t_row, x, y), dtype=np.float64)
+            sums[start:start + count] = h * c.sum(axis=1)
+            # release this leg before the generator steps the next one
+            del y, c
+
+    _run_blocks(paths, workers, work)
+    base_guards = guard_report(base, grid)
+    results = []
+    for other, sums, other_notes in zip(others, per_path, notes):
+        estimate = float(np.mean(sums))
+        stderr = float(np.std(sums, ddof=1) / math.sqrt(paths)) if paths > 1 else float("nan")
+        extra = {
+            "seed": seed,
+            "schemes": (base.kind, other.kind),
+            "warnings": tuple(other_notes),
+            "guard_warnings": tuple(dict.fromkeys(base_guards + guard_report(other, grid))),
+        }
+        results.append(
+            EstimateResult(estimate=estimate, stderr=stderr, paths=paths, grid=grid, extra=extra)
+        )
+    return tuple(results)
+
+
+def _pair_configs(
+    spec_mu: CoefficientSpec,
+    spec_nu: CoefficientSpec,
+    schemes: "tuple[StepperConfig, StepperConfig]",
+) -> "tuple[StepperConfig, StepperConfig]":
+    config_mu, config_nu = schemes
+    if config_mu.spec is not spec_mu or config_nu.spec is not spec_nu:
+        raise ConfigurationError(
+            "each scheme config must wrap the coefficient spec of its own leg"
+        )
+    return config_mu, config_nu
 
 
 def estimate_vc(
@@ -149,38 +225,42 @@ def estimate_vc(
     ``cost`` must be vectorised over ``(t, x, y)`` arrays.  Identical specs
     with identical schemes give exactly zero with zero variance.
     """
-    config_mu, config_nu = schemes
-    if config_mu.spec is not spec_mu or config_nu.spec is not spec_nu:
-        raise ConfigurationError(
-            "each scheme config must wrap the coefficient spec of its own leg"
+    config_mu, config_nu = _pair_configs(spec_mu, spec_nu, schemes)
+    return _synchronous_estimates(config_mu, (config_nu,), cost, grid, paths, seed, workers)[0]
+
+
+def estimate_aw_sweep(
+    base: StepperConfig,
+    others: Sequence[StepperConfig],
+    p: float,
+    grid: TimeGrid,
+    paths: int,
+    seed: int,
+    workers: int = 1,
+) -> tuple[EstimateResult, ...]:
+    """Adapted distance estimates of one base law against several others.
+
+    Result ``i`` equals ``estimate_aw(base.spec, others[i].spec, (base,
+    others[i]), p, grid, paths, seed, workers)`` bit for bit, ``extra``
+    included.  Every path is drawn once and its base leg stepped once for the
+    whole sweep, rather than once per pair.
+    """
+    cost = power_time_cost(p)
+    results = _synchronous_estimates(base, others, cost, grid, paths, seed, workers)
+    return tuple(
+        EstimateResult(
+            estimate=r.estimate,
+            stderr=r.stderr,
+            paths=r.paths,
+            grid=r.grid,
+            extra={
+                **r.extra,
+                "p": float(p),
+                "aw": r.estimate ** (1.0 / float(p)) if r.estimate > 0.0 else 0.0,
+            },
         )
-    if not isinstance(paths, int) or paths < 1:
-        raise ConfigurationError(f"paths must be a positive integer, got {paths!r}")
-    notes = _coverage_notes(spec_mu, spec_nu)
-    guard_notes = tuple(
-        dict.fromkeys(guard_report(config_mu, grid) + guard_report(config_nu, grid))
+        for r in results
     )
-
-    t_row = grid.times()[None, :]
-    h = grid.step
-    per_path = np.empty(paths, dtype=np.float64)
-
-    def work(_b: int, start: int, count: int) -> None:
-        x = simulate_path_block(config_mu, grid, seed, start, count)
-        y = simulate_path_block(config_nu, grid, seed, start, count)
-        c = np.asarray(cost(t_row, x, y), dtype=np.float64)
-        per_path[start:start + count] = h * c.sum(axis=1)
-
-    _run_blocks(paths, workers, work)
-    estimate = float(np.mean(per_path))
-    stderr = float(np.std(per_path, ddof=1) / math.sqrt(paths)) if paths > 1 else float("nan")
-    extra = {
-        "seed": seed,
-        "schemes": (config_mu.kind, config_nu.kind),
-        "warnings": tuple(notes),
-        "guard_warnings": guard_notes,
-    }
-    return EstimateResult(estimate=estimate, stderr=stderr, paths=paths, grid=grid, extra=extra)
 
 
 def estimate_aw(
@@ -197,21 +277,11 @@ def estimate_aw(
 
     ``estimate`` (and ``stderr``) refer to the p-th power of the distance,
     which is what the Monte Carlo sum targets; ``extra["aw"]`` holds the p-th
-    root of the point estimate.
+    root of the point estimate.  This is the one-leg case of
+    :func:`estimate_aw_sweep`.
     """
-    result = estimate_vc(
-        spec_mu, spec_nu, schemes, power_time_cost(p), grid, paths, seed, workers=workers
-    )
-    extra = dict(result.extra)
-    extra["p"] = float(p)
-    extra["aw"] = result.estimate ** (1.0 / float(p)) if result.estimate > 0.0 else 0.0
-    return EstimateResult(
-        estimate=result.estimate,
-        stderr=result.stderr,
-        paths=result.paths,
-        grid=result.grid,
-        extra=extra,
-    )
+    config_mu, config_nu = _pair_configs(spec_mu, spec_nu, schemes)
+    return estimate_aw_sweep(config_mu, (config_nu,), p, grid, paths, seed, workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +372,11 @@ def _fit_loglog(h_values: Sequence[float], errors: Sequence[float]) -> "SlopeFit
 
 
 def _steps_for(horizon: float, h: float) -> int:
+    if not (math.isfinite(h) and h > 0.0):
+        raise ConfigurationError(f"step size must be positive and finite, got {h!r}")
     steps = horizon / h
+    if not math.isfinite(steps):
+        raise ConfigurationError(f"step size {h!r} does not divide the horizon {horizon!r}")
     rounded = round(steps)
     if rounded < 1 or abs(steps - rounded) > 1e-9 * max(1.0, rounded):
         raise ConfigurationError(f"step size {h!r} does not divide the horizon {horizon!r}")
@@ -348,7 +422,7 @@ def strong_error_curve(
     factors: list[int] = []
     for h in hs:
         ratio = h / h_ref
-        factor = round(ratio)
+        factor = round(ratio) if math.isfinite(ratio) else 0
         if factor < 1 or abs(ratio - factor) > 1e-9 * factor:
             raise ConfigurationError(f"h_ref={h_ref!r} does not divide h={h!r}")
         if ref_steps % factor != 0:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = [
     "TimeGrid",
     "sample_increment_block",
@@ -55,11 +57,11 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
+            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not isinstance(self.steps, int) or self.steps < 1:
-            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
+            raise ConfigurationError(f"steps must be a positive integer, got {self.steps!r}")
         if not self.steps > self.horizon:
-            raise ValueError(
+            raise ConfigurationError(
                 f"steps must exceed horizon so that h < 1; got steps={self.steps}, "
                 f"horizon={self.horizon}"
             )
@@ -79,9 +81,9 @@ class TimeGrid:
         ``factor`` must divide ``steps`` exactly.
         """
         if not isinstance(factor, int) or factor < 1:
-            raise ValueError(f"factor must be a positive integer, got {factor!r}")
+            raise ConfigurationError(f"factor must be a positive integer, got {factor!r}")
         if self.steps % factor != 0:
-            raise ValueError(f"factor {factor} does not divide steps {self.steps}")
+            raise ConfigurationError(f"factor {factor} does not divide steps {self.steps}")
         return TimeGrid(self.horizon, self.steps // factor)
 
 
@@ -90,12 +92,12 @@ def truncation_level(grid: "TimeGrid | float") -> float:
 
     Raises
     ------
-    ValueError
+    ConfigurationError
         If the step size is not in ``(0, 1)``; ``a_h`` is only defined there.
     """
     h = grid.step if isinstance(grid, TimeGrid) else float(grid)
     if not (0.0 < h < 1.0):
-        raise ValueError(f"truncation level requires 0 < h < 1, got h={h!r}")
+        raise ConfigurationError(f"truncation level requires 0 < h < 1, got h={h!r}")
     return 4.0 * math.sqrt(h * math.log(1.0 / h))
 
 
@@ -106,9 +108,9 @@ def truncation_level(grid: "TimeGrid | float") -> float:
 
 def _validate_stream_id(seed: int, path_index: int) -> None:
     if not isinstance(seed, int) or not 0 <= seed < _MAX64:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+        raise ConfigurationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if not isinstance(path_index, int) or not 0 <= path_index < _MAX64:
-        raise ValueError(f"path_index must be an integer in [0, 2^64), got {path_index!r}")
+        raise ConfigurationError(f"path_index must be an integer in [0, 2^64), got {path_index!r}")
 
 
 def sample_increment_block(grid: TimeGrid, seed: int, start: int, count: int) -> Array:
@@ -122,9 +124,9 @@ def sample_increment_block(grid: TimeGrid, seed: int, start: int, count: int) ->
     """
     _validate_stream_id(seed, start)
     if not isinstance(count, int) or count < 0:
-        raise ValueError(f"count must be a nonnegative integer, got {count!r}")
+        raise ConfigurationError(f"count must be a nonnegative integer, got {count!r}")
     if start + count > _MAX64:
-        raise ValueError(f"last path index {start + count - 1} is outside [0, 2^64)")
+        raise ConfigurationError(f"last path index {start + count - 1} is outside [0, 2^64)")
     # Key, do not split: the (seed, path_index) pair fully determines the
     # stream.  Re-keying one local bit generator per row gives the same draws
     # as a fresh Generator(Philox(key=[seed, start + i])) without building one.

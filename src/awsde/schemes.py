@@ -19,11 +19,15 @@ Each scheme has one single-step kernel:
 - :func:`symmetrised_em_step`, ``|x + kappa (eta - x) h + gamma sqrt(x) dW|``
   for the square-root diffusion family; keeps paths nonnegative.
 
-One loop steps a block of paths by applying the kernel to a whole column of
-increments at a time: :func:`simulate_path_block` on one grid and
-:func:`simulate_coupled_block` on nested grids driven by the same noise.  Row
-``i`` of a block depends only on ``(seed, start + i)``, so a single path is a
-width-1 block.
+Paths are simulated in blocks, one draw per block: a block's increments are
+drawn once, and every leg that needs them is stepped from that one draw by a
+loop that applies the kernel to a whole column of increments at a time.
+:func:`simulate_synchronous_block` steps several configs on one grid (the
+legs of a synchronous coupling, yielded one at a time);
+:func:`simulate_path_block` is its one-leg case; and
+:func:`simulate_coupled_block` steps one config on nested grids driven by
+the same noise.  Row ``i`` of a block depends only on ``(seed, start + i)``,
+so a single path is a width-1 block.
 
 Step-size guards (``h < 1/L`` for the implicit drift solve and
 ``1 - L_sigmatilde a_h > 0`` for the monotone variant) are checked against the
@@ -37,7 +41,7 @@ fails and the map is not monotone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +61,7 @@ __all__ = [
     "semi_implicit_em_step",
     "transformed_step",
     "symmetrised_em_step",
+    "simulate_synchronous_block",
     "simulate_path_block",
     "simulate_coupled_block",
 ]
@@ -379,6 +384,25 @@ def _step_matrix(config: StepperConfig, grid: TimeGrid, raw_dw: Array) -> Array:
     return values
 
 
+def simulate_synchronous_block(configs: Sequence[StepperConfig], grid: TimeGrid, seed: int,
+                               start: int, count: int) -> Iterator[Array]:
+    """Every leg of a synchronous coupling on paths ``start .. start+count-1``.
+
+    Checks every config's guards (raising in strict mode) and draws
+    ``sample_increment_block(grid, seed, start, count)`` once, before it
+    returns.  The returned iterator then yields one ``(count, steps+1)``
+    state matrix per config, in order, each stepped from that same draw only
+    when it is asked for, so a caller that reduces and drops each leg holds
+    one leg at a time.  Leg ``j`` is exactly what
+    ``simulate_path_block(configs[j], grid, seed, start, count)`` returns.
+    """
+    configs = tuple(configs)
+    for config in configs:
+        _enforce_guards(config, grid)
+    raw = sample_increment_block(grid, seed, start, count)
+    return (_step_matrix(config, grid, raw) for config in configs)
+
+
 def simulate_path_block(config: StepperConfig, grid: TimeGrid, seed: int,
                         start: int, count: int) -> Array:
     """States for paths ``start .. start+count-1`` as a ``(count, steps+1)`` array.
@@ -388,11 +412,10 @@ def simulate_path_block(config: StepperConfig, grid: TimeGrid, seed: int,
     for the monotone variant), starting from the spec's initial value.  It
     depends only on ``(seed, start + i)``: it equals
     ``simulate_path_block(config, grid, seed, start + i, 1)[0]`` bit for bit.
-    Guard violations raise in strict mode.
+    Guard violations raise in strict mode.  This is the one-leg case of
+    :func:`simulate_synchronous_block`.
     """
-    _enforce_guards(config, grid)
-    raw = sample_increment_block(grid, seed, start, count)
-    return _step_matrix(config, grid, raw)
+    return next(simulate_synchronous_block((config,), grid, seed, start, count))
 
 
 def _coarse_sums(raw_fine: Array, factor: int) -> Array:

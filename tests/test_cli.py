@@ -1,9 +1,11 @@
 """The ``awsde run`` front end: config resolution, artifacts, manifests."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +177,24 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     assert (first / "aw_estimates.csv").read_bytes() == (second / "aw_estimates.csv").read_bytes()
 
 
+@pytest.mark.parametrize("experiment", ["fig_disc", "fig_cir"])
+def test_sweep_draws_each_block_once(experiment, tmp_path, monkeypatch):
+    # 600 paths are three blocks; every perturbed leg is stepped from the
+    # block's one draw (pairwise estimates drew 66 and 90 times)
+    import awsde.schemes
+
+    calls = []
+    original = awsde.schemes.sample_increment_block
+
+    def counting(grid, seed, start, count):
+        calls.append((start, count))
+        return original(grid, seed, start, count)
+
+    monkeypatch.setattr(awsde.schemes, "sample_increment_block", counting)
+    run_experiment(ExperimentConfig(experiment, steps=16, paths=600, out=str(tmp_path)))
+    assert calls == [(0, 256), (256, 256), (512, 88)]
+
+
 def test_fig_cir_tiny_run(tmp_path, capsys):
     code, _, _ = _run(
         capsys, "run", "fig_cir", "--steps", "64", "--paths", "32", "--out", str(tmp_path),
@@ -285,6 +305,21 @@ def test_run_experiment_returns_the_written_manifest(tmp_path):
     assert manifest == on_disk
     assert manifest["config"]["preset"] == "desk"
     assert manifest["wall_time_seconds"] >= 0.0
+
+
+def test_module_entry_point_runs_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "awsde", "run", "counterexamples", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout)
+    assert summary["experiment"] == "counterexamples"
+    assert summary["outputs"] == ["counterexamples.json"]
+    assert summary["out"] == str(tmp_path)
+    assert (tmp_path / "counterexamples.json").exists()
 
 
 def test_console_script_entry_point(tmp_path):

@@ -15,7 +15,9 @@ from awsde import (
     builtin_model,
     config_from_alias,
     estimate_aw,
+    estimate_aw_sweep,
     estimate_vc,
+    guard_report,
     moment_diagnostic,
     monotonicity_witness,
     one_step_cdf,
@@ -26,7 +28,7 @@ from awsde import (
     write_aw_estimates_csv,
     write_rate_curve_csv,
 )
-from awsde.estimator import FIT_FLOOR, _fit_loglog
+from awsde.estimator import FIT_FLOOR, _fit_loglog, _synchronous_estimates
 
 GRID = TimeGrid(horizon=1.0, steps=64)
 
@@ -160,6 +162,79 @@ def test_single_path_has_no_stderr():
     assert math.isnan(result.stderr)
 
 
+def _assert_same_result(a, b):
+    assert a.estimate == b.estimate
+    assert a.stderr == b.stderr
+    assert a.paths == b.paths
+    assert a.grid == b.grid
+    assert a.extra == b.extra
+
+
+def _cir_legs():
+    params = ("kappa", "eta", "gamma")
+    return [builtin_model("cir", **{name: 1.0 + d}) for name in params
+            for d in (0.1, 0.2, 0.3, 0.4, 0.5)]
+
+
+# (alias, base spec, other specs, grid); tiem-mono on perturbed_sign meets
+# both of its guards at h = 1/128 for k <= 2
+SWEEP_CASES = {
+    "em": ("em", lambda: builtin_model("brownian"),
+           lambda: [builtin_model("perturbed_sign", k=float(k)) for k in range(11)], GRID),
+    "iem": ("iem", lambda: builtin_model("brownian"),
+            lambda: [builtin_model("perturbed_sign", k=float(k)) for k in range(11)], GRID),
+    "tiem-mono": ("tiem-mono", lambda: builtin_model("perturbed_sign", k=0.0),
+                  lambda: [builtin_model("perturbed_sign", k=float(k)) for k in (1, 2)]
+                  + [builtin_model("cubic")],
+                  TimeGrid(1.0, 128)),
+    "sym-em": ("sym-em", lambda: builtin_model("cir"), _cir_legs, GRID),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_aw_sweep_equals_pairwise_estimates(case, workers):
+    # 600 paths: two full 256-path blocks and a partial third
+    alias, base_spec, other_specs, grid = SWEEP_CASES[case]
+    base = config_from_alias(alias, base_spec())
+    others = [config_from_alias(alias, spec) for spec in other_specs()]
+    assert not guard_report(base, grid)
+    assert not any(guard_report(other, grid) for other in others)
+    swept = estimate_aw_sweep(base, others, 2.0, grid, paths=600, seed=19, workers=workers)
+    assert len(swept) == len(others)
+    for other, result in zip(others, swept):
+        alone = estimate_aw(base.spec, other.spec, (base, other), 2.0, grid,
+                            paths=600, seed=19, workers=workers)
+        _assert_same_result(result, alone)
+    assert any(result.estimate > 0.0 for result in swept)
+
+
+def test_estimate_vc_is_the_pair_sum_and_its_leg_of_a_sweep():
+    # a cost that is not a power of |x - y|, with a time weight, so a leg
+    # swap or a shifted time row would show
+    def cost(t, x, y):
+        return (1.0 + t) * np.abs(np.sin(x) - y) + 0.5 * (x - y) ** 2
+
+    brown = builtin_model("brownian")
+    specs = [builtin_model("perturbed_sign", k=k) for k in (2.0, 5.0, 9.0)]
+    base = config_from_alias("em", brown)
+    others = [config_from_alias("em", spec) for spec in specs]
+    paths, seed = 600, 23
+    vc = estimate_vc(brown, specs[1], (base, others[1]), cost, GRID, paths, seed)
+    _assert_same_result(vc, _synchronous_estimates(base, others, cost, GRID, paths, seed, 1)[1])
+
+    # the same sum from the two legs simulated block by block
+    per_path = np.empty(paths)
+    t_row = GRID.times()[None, :]
+    for start in range(0, paths, 256):
+        count = min(256, paths - start)
+        x = simulate_path_block(base, GRID, seed, start, count)
+        y = simulate_path_block(others[1], GRID, seed, start, count)
+        per_path[start:start + count] = GRID.step * cost(t_row, x, y).sum(axis=1)
+    assert vc.estimate == float(np.mean(per_path))
+    assert vc.stderr == float(np.std(per_path, ddof=1) / math.sqrt(paths))
+
+
 # ---------------------------------------------------------------------------
 # strong-error curves
 # ---------------------------------------------------------------------------
@@ -238,6 +313,18 @@ def test_strong_error_curve_validation():
         strong_error_curve(spec, "iem", 2.0, [0.25], 0.1875, 16, 0)
     with pytest.raises(ConfigurationError, match="does not divide"):
         strong_error_curve(spec, "iem", 2.0, [0.3], 0.0625, 16, 0)
+
+
+def test_bad_step_sizes_raise_configuration_errors():
+    spec = builtin_model("cubic")
+    for h in (0.0, math.nan, math.inf, -0.25):
+        with pytest.raises(ConfigurationError, match="step size"):
+            moment_diagnostic(spec, "iem", 2.0, [h], 16, 3)
+    for h_ref in (0.0, math.nan, math.inf, 1e-320):
+        with pytest.raises(ConfigurationError, match="step size"):
+            strong_error_curve(spec, "iem", 2.0, [0.25], h_ref, 16, 3)
+    with pytest.raises(ConfigurationError, match="does not divide"):
+        strong_error_curve(spec, "iem", 2.0, [math.nan], 0.125, 16, 3)
 
 
 def test_guards_checked_on_every_coarsened_grid():

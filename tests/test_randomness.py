@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from awsde import TimeGrid, sample_increment_block, truncation_level
+from awsde import (
+    AwsdeError,
+    ConfigurationError,
+    TimeGrid,
+    sample_increment_block,
+    truncation_level,
+)
 
 
 def test_grid_nodes():
@@ -78,6 +84,39 @@ def test_block_stream_index_range():
         sample_increment_block(grid, seed=1, start=last, count=2)
     with pytest.raises(ValueError):
         sample_increment_block(grid, seed=1, start=2 ** 64, count=1)
+
+
+BAD_INPUTS = {
+    "horizon zero": lambda: TimeGrid(horizon=0.0, steps=4),
+    "horizon nan": lambda: TimeGrid(horizon=math.nan, steps=4),
+    "horizon inf": lambda: TimeGrid(horizon=math.inf, steps=4),
+    "steps zero": lambda: TimeGrid(horizon=1.0, steps=0),
+    "steps float": lambda: TimeGrid(horizon=1.0, steps=4.0),
+    "steps below horizon": lambda: TimeGrid(horizon=2.0, steps=2),
+    "factor zero": lambda: TimeGrid(1.0, 8).coarsen(0),
+    "factor float": lambda: TimeGrid(1.0, 8).coarsen(2.0),
+    "factor not dividing": lambda: TimeGrid(1.0, 8).coarsen(3),
+    "level at h = 0": lambda: truncation_level(0.0),
+    "level at h = 1": lambda: truncation_level(1.0),
+    "level at h = nan": lambda: truncation_level(math.nan),
+    "seed negative": lambda: sample_increment_block(TimeGrid(1.0, 4), -1, 0, 1),
+    "seed 2^64": lambda: sample_increment_block(TimeGrid(1.0, 4), 2**64, 0, 1),
+    "seed float": lambda: sample_increment_block(TimeGrid(1.0, 4), 1.0, 0, 1),
+    "start negative": lambda: sample_increment_block(TimeGrid(1.0, 4), 1, -1, 1),
+    "start 2^64": lambda: sample_increment_block(TimeGrid(1.0, 4), 1, 2**64, 1),
+    "count negative": lambda: sample_increment_block(TimeGrid(1.0, 4), 1, 0, -1),
+    "count float": lambda: sample_increment_block(TimeGrid(1.0, 4), 1, 0, 2.0),
+    "last index past 2^64": lambda: sample_increment_block(TimeGrid(1.0, 4), 1, 2**64 - 1, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_inputs_raise_configuration_errors(case):
+    with pytest.raises(ConfigurationError) as info:
+        BAD_INPUTS[case]()
+    # one contract for every module, still a ValueError for generic callers
+    assert isinstance(info.value, AwsdeError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_increment_moments():

@@ -17,6 +17,7 @@ from awsde import (
     semi_implicit_em_step,
     simulate_coupled_block,
     simulate_path_block,
+    simulate_synchronous_block,
     symmetrised_em_step,
     transformed_coefficients,
     transformed_step,
@@ -261,6 +262,45 @@ def test_simulate_coupled_errors_shrink_with_refinement():
         sup = np.max(np.abs(out[factor] - out[1][:, ::factor]), axis=1)
         errs.append(np.sqrt(np.mean(sup ** 2)))
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_synchronous_legs_share_one_draw(monkeypatch):
+    import awsde.schemes
+
+    grid = TimeGrid(1.0, 64)
+    configs = [config_from_alias("em", builtin_model("brownian")),
+               config_from_alias("iem", builtin_model("cubic")),
+               config_from_alias("tiem-mono", builtin_model("sign_drift"), guard_policy="warn"),
+               config_from_alias("sym-em", builtin_model("cir"))]
+    draws = []
+    original = awsde.schemes.sample_increment_block
+
+    def counting(grid, seed, start, count):
+        draws.append((start, count))
+        return original(grid, seed, start, count)
+
+    monkeypatch.setattr(awsde.schemes, "sample_increment_block", counting)
+    legs = simulate_synchronous_block(configs, grid, seed=9, start=5, count=7)
+    # drawn before the first leg is asked for; legs are stepped lazily
+    assert draws == [(5, 7)]
+    swept = list(legs)
+    assert draws == [(5, 7)]
+    for config, leg in zip(configs, swept):
+        assert np.array_equal(leg, simulate_path_block(config, grid, seed=9, start=5, count=7))
+
+
+def test_synchronous_block_checks_every_guard_before_drawing(monkeypatch):
+    import awsde.schemes
+
+    draws = []
+    monkeypatch.setattr(awsde.schemes, "sample_increment_block",
+                        lambda *args: draws.append(args))
+    grid = TimeGrid(1.0, 64)  # h = 1/64 > 1/500 breaks the transformed guard
+    configs = [config_from_alias("em", builtin_model("brownian")),
+               config_from_alias("tiem", builtin_model("sign_drift"))]
+    with pytest.raises(StepSizeError):
+        simulate_synchronous_block(configs, grid, seed=1, start=0, count=4)
+    assert draws == []
 
 
 def test_guard_policies():
