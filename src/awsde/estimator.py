@@ -30,7 +30,7 @@ import csv
 import math
 import warnings as _warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -248,17 +248,11 @@ def estimate_aw_sweep(
     cost = power_time_cost(p)
     results = _synchronous_estimates(base, others, cost, grid, paths, seed, workers)
     return tuple(
-        EstimateResult(
-            estimate=r.estimate,
-            stderr=r.stderr,
-            paths=r.paths,
-            grid=r.grid,
-            extra={
-                **r.extra,
-                "p": float(p),
-                "aw": r.estimate ** (1.0 / float(p)) if r.estimate > 0.0 else 0.0,
-            },
-        )
+        replace(r, extra={
+            **r.extra,
+            "p": float(p),
+            "aw": r.estimate ** (1.0 / float(p)) if r.estimate > 0.0 else 0.0,
+        })
         for r in results
     )
 
