@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import random
 import sys
@@ -105,8 +106,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown scheme {self.scheme!r}; expected one of {sorted(SCHEME_ALIASES)}"
             )
-        if self.p is not None and not float(self.p) >= 1.0:
-            raise ConfigurationError(f"p must be at least 1, got {self.p!r}")
+        if self.p is not None and not 1.0 <= float(self.p) < math.inf:
+            raise ConfigurationError(f"p must be finite and at least 1, got {self.p!r}")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ConfigurationError(f"workers must be a positive integer, got {self.workers!r}")
         if not isinstance(self.dump_paths, int) or self.dump_paths < 0:

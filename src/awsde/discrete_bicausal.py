@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigurationError, InstanceTooLargeError
@@ -168,8 +168,8 @@ def power_cost(p: "int | float") -> CostFunctional:
         if q < 1:
             raise ConfigurationError(f"power cost needs p >= 1, got {p}")
         return CostFunctional(evaluate=lambda k, x, y: abs(x - y) ** q, p=float(q))
-    if p < 1:
-        raise ConfigurationError(f"power cost needs p >= 1, got {p}")
+    if not 1 <= p < inf:
+        raise ConfigurationError(f"power cost needs a finite p >= 1, got {p}")
     return CostFunctional(evaluate=lambda k, x, y: float(abs(x - y)) ** p, p=float(p))
 
 

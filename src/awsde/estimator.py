@@ -80,8 +80,8 @@ FIT_FLOOR = 1e-13
 
 def power_time_cost(p: float) -> Callable[[Array, Array, Array], Array]:
     """Vectorised stage cost ``c(t, x, y) = |x - y|^p``."""
-    if not p >= 1:
-        raise ConfigurationError(f"power cost needs p >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ConfigurationError(f"power cost needs a finite p >= 1, got {p}")
 
     def cost(t: Array, x: Array, y: Array) -> Array:
         return np.abs(x - y) ** p
@@ -218,9 +218,12 @@ def estimate_vc(
     """Estimate the synchronous-coupling transport value between two SDE laws.
 
     Both legs of every sample are driven by the same increment stream (the
-    synchronous coupling); each path contributes ``h * sum_k c(t_k, X_k,
-    Y_k)`` over all ``steps + 1`` grid nodes, the uniform-weight discretisation
-    of the time integral of the stage cost.
+    synchronous coupling); each path contributes ``h * sum_{k=0}^{N} c(t_k,
+    X_k, Y_k)``: all ``N + 1`` grid nodes, ``t_0 = 0`` and ``t_N = T``
+    included, are weighted by ``h``.  When both legs start at one point and
+    the cost vanishes on the diagonal (the power cost does), the ``t_0`` term
+    is 0 and this is the right-point rule for the time integral of the stage
+    cost.
 
     ``cost`` must be vectorised over ``(t, x, y)`` arrays.  Identical specs
     with identical schemes give exactly zero with zero variance.
@@ -399,8 +402,8 @@ def strong_error_curve(
     log-log slope fits for their pointwise maximum and for each norm alone
     (skipped when an error sits at the rounding floor).
     """
-    if not p >= 1:
-        raise ConfigurationError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ConfigurationError(f"p must be finite and >= 1, got {p}")
     if not isinstance(paths, int) or paths < 2:
         raise ConfigurationError(f"paths must be an integer >= 2, got {paths!r}")
     hs = tuple(sorted({float(h) for h in h_values}, reverse=True))
@@ -503,8 +506,8 @@ def moment_diagnostic(
     Divergent paths (overflow to nan or inf) count as infinite, so a blowing-up
     scheme reports an infinite sup-moment rather than hiding behind nan.
     """
-    if not p >= 1:
-        raise ConfigurationError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ConfigurationError(f"p must be finite and >= 1, got {p}")
     if not isinstance(paths, int) or paths < 1:
         raise ConfigurationError(f"paths must be a positive integer, got {paths!r}")
     if isinstance(scheme, str):

@@ -21,6 +21,8 @@ are ``pass`` (no violation found), ``fail`` (witness found) or ``inconclusive``.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -409,7 +411,14 @@ def builtin_model(name: str, /, **params: float) -> CoefficientSpec:
                 f"expected subset of {sorted(defaults)}"
             )
         out = dict(defaults)
-        out.update({k: float(v) for k, v in params.items()})
+        for key, value in params.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ConfigurationError(
+                    f"parameter {key!r} of model {name!r} must be a finite real number, "
+                    f"got {value!r}"
+                )
+            out[key] = float(value)
         return out
 
     if name == "cubic":

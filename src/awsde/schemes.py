@@ -199,6 +199,14 @@ def implicit_solve(
     convergence is global.  Each element of a vector call is solved
     independently of the others, so batching does not change results.
 
+    Every drift evaluation covers the whole batch.  A solve evaluates the
+    drift once at ``y``, and stops there if every element is already a root.
+    Otherwise it evaluates once at each initial bracket end, once per
+    expansion of either end, once at the bracket midpoint and once per
+    regula-falsi iteration.  Each bracket end keeps the residual computed
+    when it was tested, so a solve without expansions makes ``4 +
+    iterations`` drift calls.
+
     If ``one_sided_bound`` is given and positive, ``h >= 1/one_sided_bound``
     raises :class:`StepSizeError`; pass ``None`` when a caller enforces the
     guard itself.  Without monotonicity the iteration still converges to a
@@ -224,30 +232,34 @@ def implicit_solve(
     lo = ys - pad
     hi = ys + pad
 
+    # each end keeps the residual of the test that accepted it; for non-NaN
+    # values ``g - ys > 0`` is the test ``g > ys``, and NaN fails both
     width = np.ones_like(ys)
-    need = g(lo) > ys
+    flo = g(lo) - ys
+    need = flo > 0.0
     for _ in range(64):
         if not need.any():
             break
         lo = np.where(need, lo - width, lo)
         width = np.where(need, 2.0 * width, width)
-        need = need & (g(lo) > ys)
+        flo = np.where(need, g(lo) - ys, flo)
+        need = need & (flo > 0.0)
     if need.any():
         raise BracketError("lower bracket expansion failed; drift may not be one-sided Lipschitz")
 
     width = np.ones_like(ys)
-    need = g(hi) < ys
+    fhi = g(hi) - ys
+    need = fhi < 0.0
     for _ in range(64):
         if not need.any():
             break
         hi = np.where(need, hi + width, hi)
         width = np.where(need, 2.0 * width, width)
-        need = need & (g(hi) < ys)
+        fhi = np.where(need, g(hi) - ys, fhi)
+        need = need & (fhi < 0.0)
     if need.any():
         raise BracketError("upper bracket expansion failed; drift may not be one-sided Lipschitz")
 
-    flo = g(lo) - ys
-    fhi = g(hi) - ys
     # elements already converged at the explicit value keep it bit-exactly,
     # matching what a scalar call on them alone would return
     z = np.where(np.abs(push) <= tol, ys, 0.5 * (lo + hi))
@@ -261,12 +273,14 @@ def implicit_solve(
         if not active.any():
             break
         neg = res < 0.0
-        fhi = np.where(active & neg & (side == -1), 0.5 * fhi, fhi)
-        flo = np.where(active & ~neg & (side == 1), 0.5 * flo, flo)
-        lo = np.where(active & neg, z, lo)
-        flo = np.where(active & neg, res, flo)
-        hi = np.where(active & ~neg, z, hi)
-        fhi = np.where(active & ~neg, res, fhi)
+        below = active & neg
+        above = active & ~neg
+        fhi = np.where(below & (side == -1), 0.5 * fhi, fhi)
+        flo = np.where(above & (side == 1), 0.5 * flo, flo)
+        lo = np.where(below, z, lo)
+        flo = np.where(below, res, flo)
+        hi = np.where(above, z, hi)
+        fhi = np.where(above, res, fhi)
         side = np.where(active, np.where(neg, -1, 1).astype(np.int8), side)
         denom = fhi - flo
         secant = (lo * fhi - hi * flo) / np.where(denom == 0.0, 1.0, denom)
@@ -305,22 +319,26 @@ def transformed_step(tc: TransformedCoefficients, x: "Array | float", h: float,
     from the closed forms of ``G``, ``G'`` and ``G''``.  In ``z = G(x)`` this
     is the semi-implicit step of the transformed SDE, ``z' - h btilde(z') = z
     + sigmatilde(z) dW``.  :func:`implicit_solve` solves it with the
-    effective drift ``beta(v) - (G(v) - v) / h``.  Off the bumps ``G(v) - v``
-    is exactly 0, so there the step is :func:`semi_implicit_em_step` bit for
-    bit; with an identity transform it is that step everywhere.  Truncating
-    ``dw`` is the caller's responsibility (the block loop truncates
-    when the config's ``monotone`` flag is set).
+    effective drift ``beta(v) - (G(v) - v) / h``.  Each evaluation of that
+    drift, and the right-hand side, takes ``G`` and its derivatives from one
+    :meth:`~awsde.transform.PiecewiseTransform.jets` pass.  Off the bumps
+    ``G(v) - v`` is exactly 0, so there the step is
+    :func:`semi_implicit_em_step` bit for bit; with an identity transform it
+    is that step everywhere.  Truncating ``dw`` is the caller's
+    responsibility (the block loop truncates when the config's ``monotone``
+    flag is set).
     """
     spec, tr = tc.base, tc.transform
     if tr.is_identity:
         return semi_implicit_em_step(spec, 0.0, x, h, dw, enforce_guard=enforce_guard)
 
     def drift(v: Array) -> Array:
-        return np.asarray(tc.beta(v)) - (np.asarray(tr.g(v)) - v) / h
+        g_v, beta_v = tc.g_and_beta(v)
+        return beta_v - (g_v - v) / h
 
     xs = np.asarray(x, dtype=float)
-    y = np.asarray(tr.g(xs)) \
-        + np.asarray(spec.diffusion(0.0, xs)) * np.asarray(tr.g_prime(xs)) * dw
+    g0, g1, _ = tr.jets(xs)
+    y = g0 + np.asarray(spec.diffusion(0.0, xs)) * g1 * dw
     bound = tc.one_sided_bound if enforce_guard else None
     out = implicit_solve(y, drift, h, one_sided_bound=bound)
     return out if np.ndim(x) else float(out)

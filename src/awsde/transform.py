@@ -17,7 +17,9 @@ diffusion given, at ``Y = G(x)``, by
 
 The transformed step and the probe of the declared constants work in
 x-space with these closed forms of ``G``, ``G'``, ``G''`` and ``beta``; they
-never evaluate ``G^{-1}``.  :func:`invert_transform` serves the transform
+never evaluate ``G^{-1}``.  :meth:`PiecewiseTransform.jets` evaluates ``G``,
+``G'`` and ``G''`` together in one pass over the breakpoints; the single
+evaluators are its projections.  :func:`invert_transform` serves the transform
 dump and the tests.
 
 The curvature jump of ``G`` at ``xi_k`` (``G''(xi_k+-) = +-2 alpha_k``) cancels
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -104,8 +105,11 @@ def _f3(u: Array) -> Array:
 class PiecewiseTransform:
     """The monotone bijection ``G`` and its derivatives.
 
-    All evaluators accept floats or arrays and vectorise elementwise.  At a
-    jump point itself ``g_second`` returns the right limit ``+2 alpha_k``.
+    All evaluators accept floats or arrays and vectorise elementwise.
+    :meth:`jets` computes ``G``, ``G'`` and ``G''`` in one pass over the
+    breakpoints; ``g``, ``g_prime`` and ``g_second`` each return one of its
+    three values.  At a jump point itself ``G''`` is the right limit ``+2
+    alpha_k``.
     """
 
     breakpoints: tuple[float, ...]
@@ -139,41 +143,43 @@ class PiecewiseTransform:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _accumulate(self, x: "Array | float", term: Callable[[Array, float], Array],
-                    base: "Array | None" = None) -> "Array | float":
+    def jets(self, x: "Array | float") -> "tuple[Array | float, ...]":
+        """``(G(x), G'(x), G''(x))`` in one pass over the breakpoints.
+
+        Per breakpoint the offset ``s = x - xi``, the support mask and ``u =
+        |s| / c0`` are computed once and update all three values.  Scalar
+        input gives a tuple of floats.
+        """
         xs = np.asarray(x, dtype=float)
-        out = np.zeros_like(xs) if base is None else base.copy()
+        g0, g1, g2 = xs.copy(), np.ones_like(xs), np.zeros_like(xs)
+        c0 = self.c0
         for xi, alpha in zip(self.breakpoints, self.alphas):
             if alpha == 0.0:
                 continue
             s = xs - xi
-            mask = np.abs(s) < self.c0
-            if mask.any():
-                out = np.where(mask, out + alpha * term(s, self.c0), out)
-        return out if np.ndim(x) else float(out)
+            abs_s = np.abs(s)
+            mask = abs_s < c0
+            if not mask.any():
+                continue
+            u = np.minimum(abs_s / c0, 1.0)
+            g0 = np.where(mask, g0 + alpha * (np.sign(s) * c0 * c0 * _f0(u)), g0)
+            g1 = np.where(mask, g1 + alpha * (c0 * _f1(u)), g1)
+            g2 = np.where(mask, g2 + alpha * (np.where(s >= 0.0, 1.0, -1.0) * _f2(u)), g2)
+        if np.ndim(x):
+            return g0, g1, g2
+        return float(g0), float(g1), float(g2)
 
     def g(self, x: "Array | float") -> "Array | float":
         """``G(x) = x + sum_k alpha_k phibar_k(x)``."""
-        def term(s: Array, c0: float) -> Array:
-            u = np.minimum(np.abs(s) / c0, 1.0)
-            return np.sign(s) * c0 * c0 * _f0(u)
-        xs = np.asarray(x, dtype=float)
-        return self._accumulate(x, term, base=xs)
+        return self.jets(x)[0]
 
     def g_prime(self, x: "Array | float") -> "Array | float":
         """``G'(x)``, equal to 1 outside the bumps and always in ``[1/2, 3/2]``."""
-        def term(s: Array, c0: float) -> Array:
-            u = np.minimum(np.abs(s) / c0, 1.0)
-            return c0 * _f1(u)
-        xs = np.asarray(x, dtype=float)
-        return self._accumulate(x, term, base=np.ones_like(xs))
+        return self.jets(x)[1]
 
     def g_second(self, x: "Array | float") -> "Array | float":
         """``G''(x)`` with the right-limit convention at the jump points."""
-        def term(s: Array, c0: float) -> Array:
-            u = np.minimum(np.abs(s) / c0, 1.0)
-            return np.where(s >= 0.0, 1.0, -1.0) * _f2(u)
-        return self._accumulate(x, term)
+        return self.jets(x)[2]
 
     def inverse(self, y: "Array | float") -> "Array | float":
         """``G^{-1}(y)`` by :func:`invert_transform`; exact identity off the bumps."""
@@ -275,12 +281,16 @@ class TransformedCoefficients:
 
     def beta(self, x: "Array | float") -> "Array | float":
         """``beta(x) = b(x) G'(x) + sigma(x)^2 G''(x) / 2``, the transformed drift at ``G(x)``."""
-        spec, tr = self.base, self.transform
+        return self.g_and_beta(x)[1]
+
+    def g_and_beta(self, x: "Array | float") -> "tuple[Array | float, Array | float]":
+        """``(G(x), beta(x))`` from one :meth:`PiecewiseTransform.jets` pass."""
+        spec = self.base
         xs = np.asarray(x, dtype=float)
+        g0, g1, g2 = self.transform.jets(xs)
         sig = np.asarray(spec.diffusion(0.0, xs))
-        val = np.asarray(spec.drift(0.0, xs)) * np.asarray(tr.g_prime(xs)) \
-            + 0.5 * sig * sig * np.asarray(tr.g_second(xs))
-        return val if np.ndim(x) else float(val)
+        val = np.asarray(spec.drift(0.0, xs)) * g1 + 0.5 * sig * sig * g2
+        return (g0, val) if np.ndim(x) else (float(g0), float(val))
 
 
 def _probe_points(transform: PiecewiseTransform) -> Array:

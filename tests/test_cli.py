@@ -298,6 +298,12 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="rates", workers=0)
 
 
+def test_experiment_config_refuses_infinite_p():
+    for p in (float("inf"), float("nan")):
+        with pytest.raises(ConfigurationError, match="p must be finite"):
+            ExperimentConfig(experiment="rates", p=p)
+
+
 def test_run_experiment_returns_the_written_manifest(tmp_path):
     config = ExperimentConfig(experiment="counterexamples", out=str(tmp_path))
     manifest = run_experiment(config)

@@ -293,3 +293,9 @@ def test_certify_marginals_rejects_unnormalised_plan():
     root = plan.roots[0]
     broken = replace(plan, roots=(replace(root, mass=root.mass / 2),) + plan.roots[1:])
     assert broken.certify_marginals(mu, nu) == {"x_marginal": False, "y_marginal": False}
+
+
+def test_power_cost_refuses_infinite_and_nan_p():
+    for p in (float("inf"), float("nan"), 0.5, 0):
+        with pytest.raises(ConfigurationError, match="power cost needs"):
+            power_cost(p)

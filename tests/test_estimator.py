@@ -327,6 +327,26 @@ def test_bad_step_sizes_raise_configuration_errors():
         strong_error_curve(spec, "iem", 2.0, [math.nan], 0.125, 16, 3)
 
 
+def test_power_time_cost_refuses_infinite_p():
+    for p in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match=f"got {p}"):
+            power_time_cost(p)
+    brown = builtin_model("brownian")
+    with pytest.raises(ConfigurationError, match="got inf"):
+        estimate_aw(brown, brown, _em_pair(brown, brown), math.inf, GRID, 8, 3)
+
+
+def test_strong_error_curve_refuses_infinite_p():
+    # an infinite p used to report err_sup = err_int = (1.0, 1.0) with stderr 0
+    with pytest.raises(ConfigurationError, match="got inf"):
+        strong_error_curve(builtin_model("cubic"), "iem", math.inf, [0.25, 0.125], 0.0625, 8, 3)
+
+
+def test_moment_diagnostic_refuses_infinite_p():
+    with pytest.raises(ConfigurationError, match="got inf"):
+        moment_diagnostic(builtin_model("cubic"), "iem", math.inf, [0.25], 8, 3)
+
+
 def test_guards_checked_on_every_coarsened_grid():
     # the finest grid passes the monotone guard but the coarsest does not;
     # strict policy must reject the whole curve

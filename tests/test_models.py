@@ -112,3 +112,23 @@ def test_perturbed_sign_amplitude_and_range():
 def test_unknown_param_rejected():
     with pytest.raises(ConfigurationError):
         builtin_model("cubic", nope=1.0)
+
+
+@pytest.mark.parametrize("name, param, value", [
+    ("cir", "kappa", float("nan")),
+    ("cir", "eta", float("inf")),
+    ("cubic", "x0", -float("inf")),
+    ("perturbed_sign", "k", "a"),
+    ("perturbed_sign", "k", "3"),
+    ("perturbed_sign", "k", None),
+    ("sign_drift", "x0", True),
+])
+def test_builtin_model_refuses_non_numeric_and_non_finite_parameters(name, param, value):
+    with pytest.raises(ConfigurationError, match=f"parameter '{param}' of model '{name}'"):
+        builtin_model(name, **{param: value})
+
+
+def test_builtin_model_accepts_numpy_and_integer_parameters():
+    spec = builtin_model("perturbed_sign", k=np.int64(3), x0=np.float32(0.5))
+    assert spec.params == {"k": 3.0, "x0": 0.5}
+    assert all(type(v) is float for v in spec.params.values())

@@ -23,7 +23,8 @@ from awsde import (
     transformed_step,
     truncation_level,
 )
-from awsde.schemes import _step_matrix
+from awsde.errors import BracketError
+from awsde.schemes import _RESIDUAL_RTOL, _step_matrix
 
 CUBIC_ROOT_H01_Y1 = 0.921698994204678631812128132491
 CUBIC_ROOT_H025_Y15 = 1.13472845336184579170705897882
@@ -427,3 +428,169 @@ def test_truncated_driver_respects_level():
 def test_implicit_solve_residual_contract(y, h):
     z = implicit_solve(y, _cubic_drift, h)
     assert abs(z - h * float(_cubic_drift(z)) - y) <= 1e-12 * (1.0 + abs(y))
+
+
+# -- implicit solve against the solve it replaced -----------------------------
+
+
+def _parent_implicit_solve(y, drift, h):
+    """The implicit solve before bracket residuals were kept, verbatim.
+
+    It tested each bracket end, evaluated both ends again for their
+    residuals, and formed the regula-falsi masks four times per iteration.
+    """
+    ys = np.asarray(y, dtype=float)
+
+    def g(z):
+        return z - h * np.asarray(drift(z))
+
+    push = h * np.asarray(drift(ys))
+    tol = _RESIDUAL_RTOL * (1.0 + np.abs(ys))
+    if np.all(np.abs(push) <= tol):
+        return ys if np.ndim(y) else float(ys)
+
+    pad = np.abs(push) + 1.0
+    lo = ys - pad
+    hi = ys + pad
+
+    width = np.ones_like(ys)
+    need = g(lo) > ys
+    for _ in range(64):
+        if not need.any():
+            break
+        lo = np.where(need, lo - width, lo)
+        width = np.where(need, 2.0 * width, width)
+        need = need & (g(lo) > ys)
+    if need.any():
+        raise BracketError("lower bracket expansion failed; drift may not be one-sided Lipschitz")
+
+    width = np.ones_like(ys)
+    need = g(hi) < ys
+    for _ in range(64):
+        if not need.any():
+            break
+        hi = np.where(need, hi + width, hi)
+        width = np.where(need, 2.0 * width, width)
+        need = need & (g(hi) < ys)
+    if need.any():
+        raise BracketError("upper bracket expansion failed; drift may not be one-sided Lipschitz")
+
+    flo = g(lo) - ys
+    fhi = g(hi) - ys
+    z = np.where(np.abs(push) <= tol, ys, 0.5 * (lo + hi))
+    res = g(z) - ys
+    active = np.abs(res) > tol
+    side = np.zeros(ys.shape, dtype=np.int8)
+    for _ in range(300):
+        if not active.any():
+            break
+        neg = res < 0.0
+        fhi = np.where(active & neg & (side == -1), 0.5 * fhi, fhi)
+        flo = np.where(active & ~neg & (side == 1), 0.5 * flo, flo)
+        lo = np.where(active & neg, z, lo)
+        flo = np.where(active & neg, res, flo)
+        hi = np.where(active & ~neg, z, hi)
+        fhi = np.where(active & ~neg, res, fhi)
+        side = np.where(active, np.where(neg, -1, 1).astype(np.int8), side)
+        denom = fhi - flo
+        secant = (lo * fhi - hi * flo) / np.where(denom == 0.0, 1.0, denom)
+        cand = np.where(denom == 0.0, 0.5 * (lo + hi), secant)
+        cand = np.minimum(np.maximum(cand, np.minimum(lo, hi)), np.maximum(lo, hi))
+        z = np.where(active, cand, z)
+        res = np.where(active, g(z) - ys, res)
+        active = np.abs(res) > tol
+    if active.any():
+        raise BracketError("implicit drift solve did not reach the residual tolerance")
+
+    return z if np.ndim(y) else float(z)
+
+
+_SIGN_TC = transformed_coefficients(builtin_model("sign_drift"))
+
+
+def _solve_inputs(model, width, h, seed, spread):
+    """Right-hand sides and drift of one implicit solve, as the block loop forms them.
+
+    For ``sign_drift`` the states sit around the jump at 1, most of them on
+    its bump, and the drift is the transformed step's effective drift.  The
+    ``steep`` drift ``0.95 z / h`` sits just inside the guard ``h < 1/L``,
+    where the initial bracket is too narrow and has to expand.
+    """
+    rng = np.random.default_rng(seed)
+    dw = np.sqrt(h) * rng.standard_normal(width)
+    if model == "cubic":
+        x = spread * rng.standard_normal(width)
+        return x + dw, _cubic_drift
+    if model == "steep":
+        x = spread * rng.standard_normal(width)
+        return x + dw, lambda z: (0.95 / h) * np.asarray(z)
+    tc = _SIGN_TC
+    tr = tc.transform
+    x = 1.0 + tr.c0 * spread * rng.standard_normal(width)
+    y = tr.g(x) + np.abs(x) * tr.g_prime(x) * dw
+    return y, lambda v: tc.beta(v) - (tr.g(v) - v) / h
+
+
+@given(st.sampled_from(("cubic", "sign_drift", "steep")), st.integers(1, 300), st.integers(5, 12),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from((0.5, 1.0, 3.0)))
+@settings(max_examples=120, deadline=None)
+def test_implicit_solve_equals_the_parent_solve(model, width, k, seed, spread):
+    h = 2.0 ** -k
+    y, drift = _solve_inputs(model, width, h, seed, spread)
+    try:
+        expected = _parent_implicit_solve(y, drift, h)
+    except BracketError as exc:
+        with pytest.raises(BracketError, match=str(exc)):
+            implicit_solve(y, drift, h)
+        return
+    assert np.array_equal(implicit_solve(y, drift, h), expected)
+    assert implicit_solve(y[0], drift, h) == _parent_implicit_solve(y[0], drift, h)
+
+
+@given(st.integers(1, 300), st.integers(5, 12), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_transformed_step_equals_the_parent_solve(width, k, seed):
+    h = 2.0 ** -k
+    rng = np.random.default_rng(seed)
+    tr = _SIGN_TC.transform
+    x = 1.0 + tr.c0 * rng.standard_normal(width)
+    dw = np.sqrt(h) * rng.standard_normal(width)
+    y = tr.g(x) + np.abs(x) * tr.g_prime(x) * dw
+    try:
+        expected = _parent_implicit_solve(y, lambda v: _SIGN_TC.beta(v) - (tr.g(v) - v) / h, h)
+    except BracketError as exc:
+        with pytest.raises(BracketError, match=str(exc)):
+            transformed_step(_SIGN_TC, x, h, dw, enforce_guard=False)
+        return
+    assert np.array_equal(transformed_step(_SIGN_TC, x, h, dw, enforce_guard=False), expected)
+
+
+@pytest.mark.parametrize("model", ["cubic", "sign_drift"])
+def test_implicit_solve_evaluates_each_point_once(model):
+    """Without bracket expansion a solve makes ``4 + iterations`` drift calls.
+
+    They are at ``y``, at the two initial bracket ends, at the midpoint and at
+    one iterate per regula-falsi iteration; no point is evaluated twice.
+    """
+    h = 2.0 ** -10
+    y, drift = _solve_inputs(model, 128, h, 3, 1.0)
+    seen = []
+
+    def counting(v):
+        seen.append(np.array(v, copy=True))
+        return drift(v)
+
+    z = implicit_solve(y, counting, h)
+    pad = np.abs(h * np.asarray(drift(y))) + 1.0
+    lo, hi = y - pad, y + pad
+    assert np.all(lo - h * np.asarray(drift(lo)) <= y)  # no expansion
+    assert np.all(hi - h * np.asarray(drift(hi)) >= y)
+    assert np.array_equal(seen[0], y)
+    assert np.array_equal(seen[1], lo) and np.array_equal(seen[2], hi)
+    assert np.array_equal(seen[3], 0.5 * (lo + hi))
+    assert np.array_equal(seen[-1], z)
+    for i, a in enumerate(seen):
+        assert not any(np.array_equal(a, b) for b in seen[:i])
+    if model == "cubic":
+        # 4 regula-falsi iterations; the parent's repeated bracket residuals made it 10
+        assert len(seen) == 8

@@ -223,3 +223,119 @@ def test_random_transform_round_trip_and_monotone(tr, x):
     # strict monotonicity on a local probe around x
     step = 1e-4
     assert float(tr.g(x + step)) > y > float(tr.g(x - step))
+
+
+# -- one-pass evaluator -------------------------------------------------------
+#
+# The oracle below is the three-pass evaluation that ``jets`` replaced, kept
+# verbatim apart from taking the transform as an argument: one accumulation
+# per derivative, each recomputing the offsets, masks and ``u``.
+
+
+def _three_pass_accumulate(tr, x, term, base=None):
+    xs = np.asarray(x, dtype=float)
+    out = np.zeros_like(xs) if base is None else base.copy()
+    for xi, alpha in zip(tr.breakpoints, tr.alphas):
+        if alpha == 0.0:
+            continue
+        s = xs - xi
+        mask = np.abs(s) < tr.c0
+        if mask.any():
+            out = np.where(mask, out + alpha * term(s, tr.c0), out)
+    return out if np.ndim(x) else float(out)
+
+
+def _three_pass_jets(tr, x):
+    from awsde.transform import _f0, _f1, _f2
+
+    def g_term(s, c0):
+        u = np.minimum(np.abs(s) / c0, 1.0)
+        return np.sign(s) * c0 * c0 * _f0(u)
+
+    def g_prime_term(s, c0):
+        u = np.minimum(np.abs(s) / c0, 1.0)
+        return c0 * _f1(u)
+
+    def g_second_term(s, c0):
+        u = np.minimum(np.abs(s) / c0, 1.0)
+        return np.where(s >= 0.0, 1.0, -1.0) * _f2(u)
+
+    xs = np.asarray(x, dtype=float)
+    return (_three_pass_accumulate(tr, x, g_term, base=xs),
+            _three_pass_accumulate(tr, x, g_prime_term, base=np.ones_like(xs)),
+            _three_pass_accumulate(tr, x, g_second_term))
+
+
+_JET_MODELS = ["sign_drift", *(f"perturbed_sign:{k}" for k in range(1, 11)), "three_jump"]
+
+
+def _jet_transform(name, synthetic_spec):
+    if name == "three_jump":
+        return build_transform(synthetic_spec)
+    if name.startswith("perturbed_sign:"):
+        return build_transform(builtin_model("perturbed_sign", k=float(name.split(":")[1])))
+    return build_transform(builtin_model(name))
+
+
+def _nudge(x, steps):
+    """``x`` moved by ``steps`` representable doubles (toward +inf if positive)."""
+    toward = np.inf if steps > 0 else -np.inf
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, toward)
+    return float(x)
+
+
+def _special_points(tr):
+    """Each jump point and support edge, with their nearest neighbours on both sides."""
+    points = []
+    for xi in tr.breakpoints:
+        for anchor in (xi, xi + tr.c0, xi - tr.c0):
+            points += [_nudge(anchor, steps) for steps in (-2, -1, 0, 1, 2)]
+        points.append(float(np.nextafter(xi + tr.c0, 0.0)))
+    return np.array(points)
+
+
+def _assert_same_bits(new, old):
+    assert len(new) == len(old) == 3
+    for a, b in zip(new, old):
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("name", _JET_MODELS)
+def test_jets_equal_the_three_pass_evaluators_at_the_edges(name, synthetic_spec):
+    tr = _jet_transform(name, synthetic_spec)
+    xs = _special_points(tr)
+    dense = np.concatenate([xi + tr.c0 * np.linspace(-1.25, 1.25, 40001) for xi in tr.breakpoints])
+    _assert_same_bits(tr.jets(dense), _three_pass_jets(tr, dense))
+    _assert_same_bits(tr.jets(xs), _three_pass_jets(tr, xs))
+    for x in xs:
+        new = tr.jets(float(x))
+        assert all(type(v) is float for v in new)
+        _assert_same_bits(new, _three_pass_jets(tr, float(x)))
+    _assert_same_bits((tr.g(xs), tr.g_prime(xs), tr.g_second(xs)), _three_pass_jets(tr, xs))
+
+
+_offsets = st.one_of(
+    st.tuples(st.sampled_from((-1.0, 0.0, 1.0)), st.integers(-3, 3)),  # an edge, nudged
+    st.tuples(st.floats(min_value=-1.5, max_value=1.5), st.just(0)),  # inside or near a bump
+)
+
+
+@given(st.sampled_from(_JET_MODELS),
+       st.lists(st.tuples(st.integers(0, 2), _offsets), min_size=1, max_size=40),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_jets_equal_the_three_pass_evaluators(synthetic_spec, name, picks, seed):
+    tr = _jet_transform(name, synthetic_spec)
+    picked = [
+        _nudge(tr.breakpoints[i % len(tr.breakpoints)] + rel * tr.c0, steps)
+        for i, (rel, steps) in picks
+    ]
+    # plus uniform points over every bump, where rounding differences would show
+    rng = np.random.default_rng(seed)
+    near = np.concatenate([xi + tr.c0 * rng.uniform(-1.25, 1.25, 1000) for xi in tr.breakpoints])
+    xs = np.concatenate([picked, rng.permutation(near)])
+    _assert_same_bits(tr.jets(xs), _three_pass_jets(tr, xs))
+    _assert_same_bits(tr.jets(xs[0]), _three_pass_jets(tr, xs[0]))
