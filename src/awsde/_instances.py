@@ -2,8 +2,7 @@
 
 Every generator draws from a caller-supplied ``random.Random``, so one seed
 pins an entire sweep.  All masses keep denominators at or below four, which
-keeps the exact solver's inner couplings within its atom cap, and all values
-are small integers so costs stay exact.
+keeps the trees small, and all values are small integers so costs stay exact.
 """
 
 from __future__ import annotations

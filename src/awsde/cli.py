@@ -301,7 +301,13 @@ def _run_rates(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
         h_ref, exponents = 2.0**-12, range(5, 10)
     if config.steps is not None:
         h_ref = 1.0 / config.steps
-    h_values = [2.0**-e for e in exponents]
+    # Only the preset step sizes coarser than the reference can be measured.
+    h_values = [h for h in (2.0**-e for e in exponents) if h > h_ref]
+    if len(h_values) < 2:
+        raise ConfigurationError(
+            f"--steps {config.steps} leaves {len(h_values)} of the preset step sizes "
+            f"{[2.0**-e for e in exponents]} coarser than h_ref={h_ref}; a rate needs two"
+        )
     paths = config.paths if config.paths is not None else 1024
     curve = strong_error_curve(
         builtin_model(model),

@@ -15,11 +15,11 @@ backward recursion
         sum_{i,j} pi_{ij} ( c_{k+1}(x_i, y_j) + V_{k+1}(x_i, y_j) ),
 
 and the minimum over all bicausal couplings of the total cost
-``sum_k c_k(X_k, Y_k)`` is the root value.  Each inner minimisation is solved
-exactly by splitting both marginals into ``D`` atoms of mass ``1/D`` (``D``
-the least common denominator) and enumerating all atom bijections; for equal
-atoms the optimum of the transport problem is attained at a bijection, so the
-enumeration is exact.  ``D`` is capped at 8.
+``sum_k c_k(X_k, Y_k)`` is the root value (Pflug & Pichler, SIAM J. Optim.
+2012).  Each inner minimisation is a small transport problem, solved exactly
+by a transportation simplex on the masses as given: a north-west-corner start,
+then MODI pivots under Bland's rule, all in ``Fraction``s, so no denominator
+or size cap applies.
 
 The Knothe-Rosenblatt rearrangement couples every pair of kernels by the
 quantile (monotone) coupling instead of optimising.  For stochastically
@@ -33,10 +33,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import inf, isfinite
 from typing import Callable, Iterable, Sequence
 
-from .errors import ConfigurationError, InstanceTooLargeError
+from .errors import ConfigurationError
 
 __all__ = [
     "TreeNode",
@@ -62,8 +62,6 @@ __all__ = [
 
 Rational = Fraction
 Number = "Fraction | float"
-
-ATOM_CAP = 8
 
 
 def _as_fraction(v) -> Fraction:
@@ -349,76 +347,144 @@ def _exact_coupling(
 ) -> tuple["Fraction | float", dict[tuple[int, int], Fraction]]:
     """Exact optimal transport between two rational distributions.
 
-    Splits both sides into ``D`` atoms of mass ``1/D`` and enumerates atom
-    bijections.  For equal atoms a bijection attains the transport optimum, so
-    the result is exact.  Raises :class:`InstanceTooLargeError` when ``D``
-    exceeds ``ATOM_CAP``.
+    A transportation simplex on the masses as given, in ``Fraction``s:
+
+    - **Start.** The north-west corner: allocate ``min`` of the remaining row
+      and column mass, then step down a row if that row is spent and is not
+      the last one, otherwise step right.  That gives ``m + n - 1`` basic
+      cells forming a spanning tree of the rows and columns; where a row and
+      a column run out together the basis keeps a zero-flow cell.
+    - **Pivots.** MODI potentials on the basis tree (``u_0 = 0``, ``u_i + v_j
+      = c_ij`` on basic cells) price every non-basic cell.  Bland's rule
+      keeps degenerate pivots from cycling: the entering cell is the first
+      non-basic cell in row-major order with ``c_ij - u_i - v_j < 0``, and
+      the leaving cell is the first, in row-major order, of the cycle's
+      "minus" cells with the least flow.
+    - **Stop** when no reduced cost is negative.
+
+    Float cost entries are pivoted on as ``Fraction(entry)``, which is exact,
+    so every comparison stays exact; the value is then returned as a
+    ``float``.  Returns the value and the coupling on the cells with positive
+    flow.
     """
-    if len(px) == 1:
-        # Point mass on the x side: the coupling is the product.
-        return (
-            sum(py[j] * cost_matrix[0][j] for j in range(len(py))),
-            {(0, j): py[j] for j in range(len(py)) if py[j] > 0},
-        )
-    if len(py) == 1:
-        return (
-            sum(px[i] * cost_matrix[i][0] for i in range(len(px))),
-            {(i, 0): px[i] for i in range(len(px)) if px[i] > 0},
-        )
+    m, n = len(px), len(py)
+    floats = any(isinstance(c, float) for row in cost_matrix for c in row)
+    cost = [[Fraction(c) for c in row] for row in cost_matrix] if floats else cost_matrix
 
-    d = lcm(*(f.denominator for f in itertools.chain(px, py)))
-    if d > ATOM_CAP:
-        raise InstanceTooLargeError(
-            f"inner coupling needs {d} equal atoms, cap is {ATOM_CAP}; "
-            "use masses with a smaller common denominator"
-        )
-    x_atoms: list[int] = []
-    for i, m in enumerate(px):
-        x_atoms.extend([i] * int(m * d))
-    y_atoms: list[int] = []
-    for j, m in enumerate(py):
-        y_atoms.extend([j] * int(m * d))
-
-    # Partial sums can only be pruned against the incumbent when no cost is
-    # negative (user costs may be signed).
-    nonneg = all(cost_matrix[i][j] >= 0 for i in range(len(px)) for j in range(len(py)))
-    best = None
-    best_perm = None
-    for perm in itertools.permutations(range(d)):
-        total = cost_matrix[x_atoms[0]][y_atoms[perm[0]]]
-        for t in range(1, d):
-            total = total + cost_matrix[x_atoms[t]][y_atoms[perm[t]]]
-            if nonneg and best is not None and total >= best:
-                break
+    flow: dict[tuple[int, int], Fraction] = {}
+    rx, ry = list(px), list(py)
+    i = j = 0
+    while True:
+        f = min(rx[i], ry[j])
+        flow[i, j] = f
+        rx[i] -= f
+        ry[j] -= f
+        if i == m - 1 and j == n - 1:
+            break
+        if rx[i] == 0 and i < m - 1:
+            i += 1
         else:
-            if best is None or total < best:
-                best = total
-                best_perm = perm
-    assert best_perm is not None
-    coupling: dict[tuple[int, int], Fraction] = {}
-    unit = Fraction(1, d)
-    for t in range(d):
-        key = (x_atoms[t], y_atoms[best_perm[t]])
-        coupling[key] = coupling.get(key, Fraction(0)) + unit
-    # best is the plain sum over atoms; each atom carries mass 1/d
-    return best * unit, coupling
+            j += 1
+
+    while True:
+        entering = _entering_cell(flow, cost, m, n)
+        if entering is None:
+            break
+        cycle = _pivot_cycle(flow, entering, m)
+        minus = cycle[0::2]
+        theta = min(flow[c] for c in minus)
+        leaving = min(c for c in minus if flow[c] == theta)
+        for c in minus:
+            flow[c] -= theta
+        for c in cycle[1::2]:
+            flow[c] += theta
+        del flow[leaving]
+        flow[entering] = theta
+
+    value = sum(f * cost[i][j] for (i, j), f in flow.items())
+    coupling = {c: f for c, f in flow.items() if f > 0}
+    return (float(value) if floats else value), coupling
+
+
+def _entering_cell(flow, cost, m: int, n: int) -> "tuple[int, int] | None":
+    """First non-basic cell, row-major, whose reduced cost under MODI potentials is negative."""
+    u: list = [None] * m
+    v: list = [None] * n
+    u[0] = 0
+    pending = list(flow)
+    while pending:
+        rest = []
+        for i, j in pending:
+            if u[i] is not None:
+                v[j] = cost[i][j] - u[i]
+            elif v[j] is not None:
+                u[i] = cost[i][j] - v[j]
+            else:
+                rest.append((i, j))
+        pending = rest
+    for i in range(m):
+        for j in range(n):
+            if (i, j) not in flow and cost[i][j] - u[i] - v[j] < 0:
+                return i, j
+    return None
+
+
+def _pivot_cycle(flow, entering: tuple[int, int], m: int) -> list[tuple[int, int]]:
+    """The basis path closing the cycle of ``entering``, as cells minus, plus, minus, ...
+
+    The basis is a spanning tree on row nodes ``0..m-1`` and column nodes
+    ``m..m+n-1``; the path runs from the entering cell's row to its column,
+    so its first and last cells lose flow.
+    """
+    adjacent: dict[int, list[int]] = {}
+    for i, j in flow:
+        adjacent.setdefault(i, []).append(m + j)
+        adjacent.setdefault(m + j, []).append(i)
+    start, goal = entering[0], m + entering[1]
+    parent = {start: start}
+    stack = [start]
+    while goal not in parent:
+        here = stack.pop()
+        for there in adjacent[here]:
+            if there not in parent:
+                parent[there] = here
+                stack.append(there)
+    cells = []
+    here = goal
+    while here != start:
+        prev = parent[here]
+        cells.append((prev, here - m) if prev < m else (here, prev - m))
+        here = prev
+    cells.reverse()
+    return cells
 
 
 def exact_bicausal_value(
     mu: FiniteAdaptedProcess, nu: FiniteAdaptedProcess, cost: CostFunctional
 ) -> tuple["Fraction | float", BicausalPlan]:
-    """Optimal bicausal transport value and an optimal plan, by backward recursion."""
+    """Optimal bicausal transport value and an optimal plan, by backward recursion.
+
+    A NaN or infinite stage cost raises :class:`ConfigurationError`.
+    """
     if mu.stages != nu.stages:
         raise ConfigurationError("processes must have the same number of stages")
 
     memo: dict = {}
+
+    def stage_cost(stage: int, x: Fraction, y: Fraction) -> "Fraction | float":
+        c = cost.evaluate(stage, x, y)
+        if isinstance(c, float) and not isfinite(c):
+            raise ConfigurationError(
+                f"cost at stage {stage} for x={x}, y={y} is {c}; the exact solver needs finite costs"
+            )
+        return c
 
     def couple_levels(
         xs: Sequence[TreeNode], ys: Sequence[TreeNode], stage: int
     ) -> tuple["Fraction | float", tuple[PlanNode, ...]]:
         sub = [[subtree_value(xn, yn, stage) for yn in ys] for xn in xs]
         cost_matrix = [
-            [cost.evaluate(stage, xn.value, yn.value) + sub[i][j][0]
+            [stage_cost(stage, xn.value, yn.value) + sub[i][j][0]
              for j, yn in enumerate(ys)]
             for i, xn in enumerate(xs)
         ]

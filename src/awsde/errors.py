@@ -35,4 +35,4 @@ class BracketError(AwsdeError):
 
 
 class InstanceTooLargeError(AwsdeError):
-    """An exact solver received an instance beyond its enumeration cap."""
+    """A tree exceeds the stopping-rule enumeration's ``ENUMERATION_CAP`` nodes."""

@@ -174,16 +174,20 @@ def verify_payoff_lipschitz(
             f"processes disagree on stage count: {sorted(stage_counts)}"
         )
     c_l = float(payoff.lipschitz_constant)
+    # Each path's float coordinates and stage payoffs, computed once.
+    coords = [tuple(float(x) for x in g) for g in paths]
+    payoffs = [tuple(float(payoff.evaluate(k, g[:k])) for k in range(1, len(g) + 1))
+               for g in paths]
     for a in range(len(paths)):
         for b in range(a + 1, len(paths)):
-            g, g2 = paths[a], paths[b]
-            norm = sum(abs(float(x) - float(y)) ** p for x, y in zip(g, g2)) ** (1.0 / p)
-            for k in range(1, len(g) + 1):
-                gap = abs(float(payoff.evaluate(k, g[:k])) - float(payoff.evaluate(k, g2[:k])))
+            norm = sum(abs(x - y) ** p for x, y in zip(coords[a], coords[b])) ** (1.0 / p)
+            for k, (la, lb) in enumerate(zip(payoffs[a], payoffs[b]), start=1):
+                gap = abs(la - lb)
                 if gap > c_l * norm * (1.0 + tolerance) + 1e-12:
                     raise AssumptionError(
                         f"declared Lipschitz constant {c_l} violated at stage {k}: "
-                        f"|L(g) - L(g')| = {gap} > {c_l} * {norm} for paths {g} and {g2}"
+                        f"|L(g) - L(g')| = {gap} > {c_l} * {norm} "
+                        f"for paths {paths[a]} and {paths[b]}"
                     )
 
 

@@ -234,6 +234,29 @@ def test_rates_tiny_run(tmp_path, capsys):
     }
 
 
+def test_rates_keep_only_step_sizes_coarser_than_h_ref(tmp_path, capsys):
+    code, _, _ = _run(
+        capsys, "run", "rates", "--model", "cubic", "--steps", "256", "--paths", "16",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    lines = (tmp_path / "rate_curve.csv").read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [2.0**-5, 2.0**-6, 2.0**-7]
+
+
+def test_rates_refuse_steps_that_leave_no_rate(tmp_path, capsys):
+    code, out, err = _run(
+        capsys, "run", "rates", "--model", "cubic", "--steps", "32", "--paths", "16",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigurationError"
+    assert "--steps 32" in payload["message"]
+    assert not (tmp_path / "rate_curve.csv").exists()
+
+
 def test_stopping_tiny_run(tmp_path, capsys):
     code, _, _ = _run(
         capsys, "run", "stopping", "--paths", "5", "--seed", "2", "--out", str(tmp_path),

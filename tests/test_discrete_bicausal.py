@@ -4,6 +4,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from awsde import (
     ConfigurationError,
-    InstanceTooLargeError,
+    CostFunctional,
     antitone_first_plan,
     check_quasi_monotone,
     check_stochastic_monotone,
@@ -25,6 +26,7 @@ from awsde import (
     process,
 )
 from awsde._instances import random_comonotone_pair, random_tree_process
+from awsde.discrete_bicausal import _exact_coupling
 
 SQ = power_cost(2)
 
@@ -251,11 +253,121 @@ def test_float_inputs_refused_at_construction():
         node(0.5, Fraction(1))
 
 
-def test_atom_cap_enforced():
+def test_solves_beyond_the_old_atom_cap():
+    # D = 15 equal atoms: an enumeration of atom bijections refused this pair
     mu = process(1, [node(0, Fraction(1, 3)), node(1, Fraction(2, 3))])
     nu = process(1, [node(0, Fraction(1, 5)), node(1, Fraction(4, 5))])
-    with pytest.raises(InstanceTooLargeError):
-        exact_bicausal_value(mu, nu, SQ)
+    value, plan = exact_bicausal_value(mu, nu, SQ)
+    assert value == Fraction(2, 15)
+    assert value == plan_cost(knothe_rosenblatt(mu, nu), SQ)
+    assert plan.certify_marginals(mu, nu) == {"x_marginal": True, "y_marginal": True}
+
+
+def test_one_stage_pair_in_97ths_equals_its_kr_cost():
+    # on the line the quantile coupling is optimal for a convex cost of x - y
+    mu = process(1, [node(0, Fraction(10, 97)), node(1, Fraction(40, 97)),
+                     node(3, Fraction(47, 97))])
+    nu = process(1, [node(-1, Fraction(50, 97)), node(2, Fraction(20, 97)),
+                     node(4, Fraction(27, 97))])
+    value, plan = exact_bicausal_value(mu, nu, SQ)
+    assert value == plan_cost(knothe_rosenblatt(mu, nu), SQ)
+    assert value == plan_cost(plan, SQ)
+    assert plan.certify_marginals(mu, nu) == {"x_marginal": True, "y_marginal": True}
+
+
+def _enumerated_coupling(px, py, cost_matrix):
+    """The atom-bijection enumeration the simplex replaced, kept as an oracle."""
+    if len(px) == 1:
+        return (
+            sum(py[j] * cost_matrix[0][j] for j in range(len(py))),
+            {(0, j): py[j] for j in range(len(py)) if py[j] > 0},
+        )
+    if len(py) == 1:
+        return (
+            sum(px[i] * cost_matrix[i][0] for i in range(len(px))),
+            {(i, 0): px[i] for i in range(len(px)) if px[i] > 0},
+        )
+    d = lcm(*(f.denominator for f in itertools.chain(px, py)))
+    x_atoms = [i for i, m in enumerate(px) for _ in range(int(m * d))]
+    y_atoms = [j for j, m in enumerate(py) for _ in range(int(m * d))]
+    nonneg = all(cost_matrix[i][j] >= 0 for i in range(len(px)) for j in range(len(py)))
+    best = None
+    best_perm = None
+    for perm in itertools.permutations(range(d)):
+        total = cost_matrix[x_atoms[0]][y_atoms[perm[0]]]
+        for t in range(1, d):
+            total = total + cost_matrix[x_atoms[t]][y_atoms[perm[t]]]
+            if nonneg and best is not None and total >= best:
+                break
+        else:
+            if best is None or total < best:
+                best = total
+                best_perm = perm
+    coupling = {}
+    unit = Fraction(1, d)
+    for t in range(d):
+        key = (x_atoms[t], y_atoms[best_perm[t]])
+        coupling[key] = coupling.get(key, Fraction(0)) + unit
+    return best * unit, coupling
+
+
+@st.composite
+def _transport_instances(draw):
+    """Masses in ``1/D`` for ``D <= 6``, 1-4 atoms a side, signed and tied costs."""
+    d = draw(st.integers(min_value=1, max_value=6))
+
+    def masses():
+        count = draw(st.integers(min_value=1, max_value=min(4, d)))
+        cuts = sorted(draw(st.lists(st.integers(min_value=1, max_value=d - 1), min_size=count - 1,
+                                    max_size=count - 1, unique=True))) if count > 1 else []
+        edges = [0, *cuts, d]
+        return [Fraction(edges[i + 1] - edges[i], d) for i in range(count)]
+
+    px, py = masses(), masses()
+    entry = st.builds(Fraction, st.integers(min_value=-2, max_value=2), st.sampled_from((1, 2)))
+    cost_matrix = [[draw(entry) for _ in py] for _ in px]
+    return px, py, cost_matrix
+
+
+@given(_transport_instances())
+@settings(max_examples=300, deadline=None)
+def test_simplex_agrees_with_the_enumeration(instance):
+    px, py, cost_matrix = instance
+    value, coupling = _exact_coupling(px, py, cost_matrix)
+    assert value == _enumerated_coupling(px, py, cost_matrix)[0]
+    assert all(m > 0 for m in coupling.values())
+    for i, m in enumerate(px):
+        assert sum(f for (a, _), f in coupling.items() if a == i) == m
+    for j, m in enumerate(py):
+        assert sum(f for (_, b), f in coupling.items() if b == j) == m
+    assert sum(f * cost_matrix[i][j] for (i, j), f in coupling.items()) == value
+
+
+def test_float_costs_agree_with_the_enumeration():
+    cost = power_cost(1.5)
+    xs = [(Fraction(-1), Fraction(1, 6)), (Fraction(1, 2), Fraction(1, 2)),
+          (Fraction(2), Fraction(1, 3))]
+    ys = [(Fraction(0), Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 3)),
+          (Fraction(3), Fraction(1, 6))]
+    mu = process(1, [node(v, m) for v, m in xs])
+    nu = process(1, [node(v, m) for v, m in ys])
+    value, plan = exact_bicausal_value(mu, nu, cost)
+    matrix = [[cost.evaluate(1, x, y) for y, _ in ys] for x, _ in xs]
+    expected, _ = _enumerated_coupling([m for _, m in xs], [m for _, m in ys], matrix)
+    assert isinstance(value, float)
+    assert value == pytest.approx(expected, rel=1e-12, abs=0)
+    assert plan.certify_marginals(mu, nu) == {"x_marginal": True, "y_marginal": True}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_cost_refused(bad):
+    mu = process(2, [node(0, Fraction(1, 2), [node(0, 1)]),
+                     node(1, Fraction(1, 2), [node(1, 1)])])
+    nu = process(2, [node(0, 1, [node(-1, Fraction(1, 2)), node(2, Fraction(1, 2))])])
+    cost = CostFunctional(
+        evaluate=lambda k, x, y: bad if (k, x, y) == (2, 1, 2) else float(abs(x - y)), p=1.0)
+    with pytest.raises(ConfigurationError, match=f"stage 2 for x=1, y=2 is {bad}"):
+        exact_bicausal_value(mu, nu, cost)
 
 
 @st.composite

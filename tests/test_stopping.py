@@ -133,6 +133,33 @@ def test_wrong_lipschitz_declaration_is_falsified():
         stopping_stability_gap(mu, nu, cheat, 2)
 
 
+def test_lipschitz_probe_evaluates_each_path_and_stage_once():
+    calls = []
+
+    def evaluate(k, prefix):
+        calls.append((k, prefix))
+        return prefix[-1]
+
+    counting = PathPayoff(evaluate=evaluate, lipschitz_constant=1.0, name="counting")
+    mu, nu = perturbed_start_pair(Fraction(1, 2))
+    verify_payoff_lipschitz(counting, (mu, nu), 2)
+    # four leaf paths of two stages each
+    assert len(calls) == 4 * 2
+
+
+def test_lipschitz_violation_message_is_unchanged():
+    cheat = PathPayoff(evaluate=lambda k, prefix: 5 * prefix[-1],
+                       lipschitz_constant=1.0, objective="sup", name="cheat")
+    mu, nu = perturbed_start_pair(Fraction(1, 2))
+    with pytest.raises(AssumptionError) as exc:
+        verify_payoff_lipschitz(cheat, (mu, nu), 2)
+    assert str(exc.value) == (
+        "declared Lipschitz constant 1.0 violated at stage 1: |L(g) - L(g')| = 5.0 > "
+        "1.0 * 2.23606797749979 for paths (Fraction(-1, 2), Fraction(-1, 1)) and "
+        "(Fraction(1, 2), Fraction(1, 1))"
+    )
+
+
 def test_payoff_validation():
     with pytest.raises(ConfigurationError):
         coordinate_payoff("max")

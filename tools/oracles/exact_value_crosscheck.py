@@ -2,8 +2,8 @@
 
 Recomputes the nested (stagewise) optimal transport value with a standalone
 recursion that solves every one-stage subproblem as an assignment problem via
-scipy's Hungarian algorithm on equal-mass atoms, instead of the package's
-bijection enumeration.  Instances come from the package's seeded generators
+scipy's Hungarian algorithm on equal-mass atoms, in floats, instead of the
+package's exact transportation simplex.  Instances come from the package's seeded generators
 (the generators are deterministic data, the value computation here is
 independent).  Printed values are frozen into tests.
 
