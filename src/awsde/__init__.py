@@ -25,14 +25,12 @@ from .discrete_bicausal import (
     plan_cost,
     power_cost,
     process,
-    processes_equal,
 )
 from .errors import (
     AssumptionError,
     AwsdeError,
     BracketError,
     ConfigurationError,
-    InstanceTooLargeError,
     StepSizeError,
 )
 from .estimator import (
@@ -82,7 +80,6 @@ from .schemes import (
 from .stopping import (
     PathPayoff,
     coordinate_payoff,
-    enumerate_stopping_value,
     snell_value,
     stopping_stability_gap,
     verify_payoff_lipschitz,
@@ -105,7 +102,6 @@ __all__ = [
     "AssumptionError",
     "StepSizeError",
     "BracketError",
-    "InstanceTooLargeError",
     # models
     "CoefficientSpec",
     "AssumptionReport",
@@ -145,7 +141,6 @@ __all__ = [
     "BicausalPlan",
     "node",
     "process",
-    "processes_equal",
     "knothe_rosenblatt",
     "antitone_first_plan",
     "plan_cost",
@@ -158,7 +153,6 @@ __all__ = [
     "PathPayoff",
     "coordinate_payoff",
     "snell_value",
-    "enumerate_stopping_value",
     "verify_payoff_lipschitz",
     "stopping_stability_gap",
     # estimation

@@ -47,7 +47,6 @@ __all__ = [
     "BicausalPlan",
     "node",
     "process",
-    "processes_equal",
     "knothe_rosenblatt",
     "antitone_first_plan",
     "plan_cost",
@@ -59,10 +58,6 @@ __all__ = [
     "kr_suboptimal_pair",
     "perturbed_start_pair",
 ]
-
-Rational = Fraction
-Number = "Fraction | float"
-
 
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
@@ -135,11 +130,6 @@ def _canon(nodes: Sequence[TreeNode]) -> tuple[TreeNode, ...]:
     )
 
 
-def processes_equal(a: FiniteAdaptedProcess, b: FiniteAdaptedProcess) -> bool:
-    """Exact equality of the laws (sibling order is irrelevant)."""
-    return a.stages == b.stages and _canon(a.roots) == _canon(b.roots)
-
-
 # ---------------------------------------------------------------------------
 # costs
 # ---------------------------------------------------------------------------
@@ -147,16 +137,15 @@ def processes_equal(a: FiniteAdaptedProcess, b: FiniteAdaptedProcess) -> bool:
 
 @dataclass(frozen=True)
 class CostFunctional:
-    """Stagewise cost ``sum_k evaluate(k, x_k, y_k)`` with growth metadata.
+    """Stagewise cost ``sum_k evaluate(k, x_k, y_k)``.
 
-    ``evaluate`` receives the 1-based stage index.  ``p`` and
-    ``growth_constant`` describe the bound ``|c_k(x, y)| <= K (1 + |x|^p +
-    |y|^p)`` that consumers may rely on for integrability bookkeeping.
+    ``evaluate`` receives the 1-based stage index and returns a ``Fraction``
+    (kept exact) or a float.  ``p`` labels the cost's power, as
+    :func:`power_cost` sets it; the solvers do not read it.
     """
 
     evaluate: Callable[[int, Fraction, Fraction], "Fraction | float"]
     p: float
-    growth_constant: float = 1.0
 
 
 def power_cost(p: "int | float") -> CostFunctional:
@@ -194,13 +183,6 @@ class BicausalPlan:
 
     stages: int
     roots: tuple[PlanNode, ...]
-
-    def project(self, axis: str) -> FiniteAdaptedProcess:
-        """Marginal process on ``axis`` in ``{"x", "y"}`` (exact merge)."""
-        if axis not in ("x", "y"):
-            raise ConfigurationError(f"axis must be 'x' or 'y', got {axis!r}")
-        roots = _merge_projection(self.roots, axis)
-        return FiniteAdaptedProcess(stages=self.stages, roots=roots)
 
     def certify_marginals(
         self, mu: FiniteAdaptedProcess, nu: FiniteAdaptedProcess

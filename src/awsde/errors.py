@@ -6,7 +6,6 @@ __all__ = [
     "AssumptionError",
     "StepSizeError",
     "BracketError",
-    "InstanceTooLargeError",
 ]
 
 
@@ -32,7 +31,3 @@ class StepSizeError(AwsdeError):
 
 class BracketError(AwsdeError):
     """Root bracketing failed to enclose a sign change."""
-
-
-class InstanceTooLargeError(AwsdeError):
-    """A tree exceeds the stopping-rule enumeration's ``ENUMERATION_CAP`` nodes."""

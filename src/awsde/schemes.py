@@ -19,23 +19,23 @@ Each scheme has one single-step kernel:
 - :func:`symmetrised_em_step`, ``|x + kappa (eta - x) h + gamma sqrt(x) dW|``
   for the square-root diffusion family; keeps paths nonnegative.
 
-Paths are simulated in blocks, one draw per block: a block's increments are
-drawn once, and every leg that needs them is stepped from that one draw by a
-loop that applies the kernel to a whole column of increments at a time.
-:func:`simulate_synchronous_block` steps several configs on one grid (the
-legs of a synchronous coupling, yielded one at a time);
-:func:`simulate_path_block` is its one-leg case; and
-:func:`simulate_coupled_block` steps one config on nested grids driven by
-the same noise.  Row ``i`` of a block depends only on ``(seed, start + i)``,
-so a single path is a width-1 block.
+Paths are simulated in blocks, one draw per block, by one simulator:
+:func:`simulate_synchronous_block` steps several configs (the legs of a
+synchronous coupling) on a grid and on coarsenings of it, all from one draw
+of the fine increments; a coarse grid takes consecutive block sums of them.
+:func:`simulate_path_block` is its one-leg, one-grid case and
+:func:`simulate_coupled_block` its one-leg case.  Each leg is stepped by a
+loop that applies the kernel to a whole column of increments at a time.  Row
+``i`` of a block depends only on ``(seed, start + i)``, so a single path is a
+width-1 block.
 
 Step-size guards (``h < 1/L`` for the implicit drift solve and
 ``1 - L_sigmatilde a_h > 0`` for the monotone variant) are checked against the
-declared constants when a config meets a grid.  ``guard_policy="strict"``
-raises; ``guard_policy="warn"`` proceeds and lets callers record the violation
-messages from :func:`guard_report`.  The implicit solve itself is a
-safeguarded bisection and returns a deterministic root even when the guard
-fails and the map is not monotone.
+declared constants on every grid a config meets, before any increment is
+drawn.  ``guard_policy="strict"`` raises; ``guard_policy="warn"`` proceeds
+and lets callers record the violation messages from :func:`guard_report`.
+The implicit solve itself is a bracketed regula falsi and returns a
+deterministic root even when the guard fails and the map is not monotone.
 """
 
 from __future__ import annotations
@@ -164,13 +164,6 @@ def guard_report(config: StepperConfig, grid: TimeGrid) -> tuple[str, ...]:
     return tuple(messages)
 
 
-def _enforce_guards(config: StepperConfig, grid: TimeGrid) -> tuple[str, ...]:
-    messages = guard_report(config, grid)
-    if messages and config.guard_policy == "strict":
-        raise StepSizeError("; ".join(messages))
-    return messages
-
-
 # ---------------------------------------------------------------------------
 # single steps
 # ---------------------------------------------------------------------------
@@ -182,6 +175,39 @@ def em_step(spec: CoefficientSpec, t: float, x: "Array | float", h: float,
     xs = np.asarray(x, dtype=float)
     out = xs + np.asarray(spec.drift(t, xs)) * h + np.asarray(spec.diffusion(t, xs)) * dw
     return out if np.ndim(x) else float(out)
+
+
+def _witness(unresolved: Array, **values: Array) -> str:
+    """Message tail naming how many elements are ``unresolved`` and the first one's values."""
+    first = int(np.flatnonzero(unresolved)[0])
+    named = ", ".join(f"{name}={float(np.ravel(v)[first])!r}" for name, v in values.items())
+    return (f"; {np.count_nonzero(unresolved)} of {unresolved.size} elements unresolved, "
+            f"first at index {first}: {named}")
+
+
+def _expand_bracket(which: str, direction: float, end: Array, res: Array,
+                    g: Callable[[Array], Array], ys: Array) -> tuple[Array, Array]:
+    """Step the ends whose residual ``g(end) - ys`` has the wrong sign outward.
+
+    ``direction`` is -1 for the lower end and +1 for the upper end; a failing
+    end moves by ``direction`` times 1, 2, 4, ... and keeps the residual of
+    the test that accepted it (a NaN residual is accepted).
+    """
+    width = np.ones_like(ys)
+    need = direction * res < 0.0
+    for _ in range(64):
+        if not need.any():
+            break
+        end = np.where(need, end + direction * width, end)
+        width = np.where(need, 2.0 * width, width)
+        res = np.where(need, g(end) - ys, res)
+        need = need & (direction * res < 0.0)
+    if need.any():
+        raise BracketError(
+            f"{which} bracket expansion failed; drift may not be one-sided Lipschitz"
+            + _witness(need, y=ys, end=end, res=res)
+        )
+    return end, res
 
 
 def implicit_solve(
@@ -210,7 +236,9 @@ def implicit_solve(
     If ``one_sided_bound`` is given and positive, ``h >= 1/one_sided_bound``
     raises :class:`StepSizeError`; pass ``None`` when a caller enforces the
     guard itself.  Without monotonicity the iteration still converges to a
-    deterministic root.
+    deterministic root.  When an expansion or the iteration fails, the
+    :class:`BracketError` message names how many elements are unresolved and,
+    for the first of them, ``y``, the bracket end or ends and their residuals.
     """
     ys = np.asarray(y, dtype=float)
     if one_sided_bound is not None and one_sided_bound > 0.0 and h >= 1.0 / one_sided_bound:
@@ -232,33 +260,8 @@ def implicit_solve(
     lo = ys - pad
     hi = ys + pad
 
-    # each end keeps the residual of the test that accepted it; for non-NaN
-    # values ``g - ys > 0`` is the test ``g > ys``, and NaN fails both
-    width = np.ones_like(ys)
-    flo = g(lo) - ys
-    need = flo > 0.0
-    for _ in range(64):
-        if not need.any():
-            break
-        lo = np.where(need, lo - width, lo)
-        width = np.where(need, 2.0 * width, width)
-        flo = np.where(need, g(lo) - ys, flo)
-        need = need & (flo > 0.0)
-    if need.any():
-        raise BracketError("lower bracket expansion failed; drift may not be one-sided Lipschitz")
-
-    width = np.ones_like(ys)
-    fhi = g(hi) - ys
-    need = fhi < 0.0
-    for _ in range(64):
-        if not need.any():
-            break
-        hi = np.where(need, hi + width, hi)
-        width = np.where(need, 2.0 * width, width)
-        fhi = np.where(need, g(hi) - ys, fhi)
-        need = need & (fhi < 0.0)
-    if need.any():
-        raise BracketError("upper bracket expansion failed; drift may not be one-sided Lipschitz")
+    lo, flo = _expand_bracket("lower", -1.0, lo, g(lo) - ys, g, ys)
+    hi, fhi = _expand_bracket("upper", 1.0, hi, g(hi) - ys, g, ys)
 
     # elements already converged at the explicit value keep it bit-exactly,
     # matching what a scalar call on them alone would return
@@ -290,7 +293,10 @@ def implicit_solve(
         res = np.where(active, g(z) - ys, res)
         active = np.abs(res) > tol
     if active.any():
-        raise BracketError("implicit drift solve did not reach the residual tolerance")
+        raise BracketError(
+            "implicit drift solve did not reach the residual tolerance"
+            + _witness(active, y=ys, z=z, res=res, lo=lo, hi=hi, res_lo=flo, res_hi=fhi, tol=tol)
+        )
 
     return z if np.ndim(y) else float(z)
 
@@ -361,9 +367,9 @@ def _kernel(config: StepperConfig, h: float) -> Callable[[float, Array, Array], 
     """The scheme's single-step kernel as ``step(t, x, dw)`` at step size ``h``.
 
     Each kernel is looked up by its module-level name on every step, so a
-    wrapper that replaces that name also sees every step of a block.  Guards
-    are checked once per grid by the callers of :func:`_step_matrix`, not per
-    step.
+    wrapper that replaces that name also sees every step of a block.  The
+    kernel checks no guard: :func:`simulate_synchronous_block` checks them once
+    per config and grid, before it draws.
     """
     spec = config.spec
     if config.kind == "explicit_em":
@@ -402,23 +408,45 @@ def _step_matrix(config: StepperConfig, grid: TimeGrid, raw_dw: Array) -> Array:
     return values
 
 
-def simulate_synchronous_block(configs: Sequence[StepperConfig], grid: TimeGrid, seed: int,
-                               start: int, count: int) -> Iterator[Array]:
-    """Every leg of a synchronous coupling on paths ``start .. start+count-1``.
+def _coarse_sums(raw_fine: Array, factor: int) -> Array:
+    # differences of the fine prefix sums rather than blockwise sums: the
+    # coarse increments then retrace the fine path's own left-to-right
+    # accumulation, so a driftless unit-diffusion path agrees bitwise at
+    # shared nodes
+    if factor == 1:
+        return raw_fine
+    nodes = np.cumsum(raw_fine, axis=1)[:, factor - 1 :: factor]
+    out = np.empty_like(nodes)
+    out[:, 0] = nodes[:, 0]
+    np.subtract(nodes[:, 1:], nodes[:, :-1], out=out[:, 1:])
+    return out
 
-    Checks every config's guards (raising in strict mode) and draws
-    ``sample_increment_block(grid, seed, start, count)`` once, before it
-    returns.  The returned iterator then yields one ``(count, steps+1)``
-    state matrix per config, in order, each stepped from that same draw only
-    when it is asked for, so a caller that reduces and drops each leg holds
-    one leg at a time.  Leg ``j`` is exactly what
-    ``simulate_path_block(configs[j], grid, seed, start, count)`` returns.
+
+def simulate_synchronous_block(configs: Sequence[StepperConfig], grid: TimeGrid, seed: int,
+                               start: int, count: int,
+                               factors: Sequence[int] = (1,)) -> Iterator[Array]:
+    """Every config on ``grid`` and on its coarsenings, for paths ``start .. start+count-1``.
+
+    Before it returns, this checks each config's guards on ``grid`` and on
+    ``grid.coarsen(f)`` for every ``f`` in ``factors`` (raising in strict
+    mode), then draws ``sample_increment_block(grid, seed, start, count)``
+    once.  The iterator yields one ``(count, steps // f + 1)`` state matrix
+    per ``(config, f)``, configs in the outer loop, each stepped only when it
+    is asked for, so a caller that reduces and drops each leg holds one at a
+    time.  A coarse grid's increments are sums of the fine ones over its
+    steps (:func:`_coarse_sums`), clipped at its own ``a_h`` for the monotone
+    variant.  Row ``i`` of every leg depends only on ``(seed, start + i)``.
     """
     configs = tuple(configs)
+    grids = {f: grid.coarsen(f) for f in factors}
     for config in configs:
-        _enforce_guards(config, grid)
+        for g in (grid, *grids.values()):
+            messages = guard_report(config, g)
+            if messages and config.guard_policy == "strict":
+                raise StepSizeError("; ".join(messages))
     raw = sample_increment_block(grid, seed, start, count)
-    return (_step_matrix(config, grid, raw) for config in configs)
+    return (_step_matrix(config, grids[f], _coarse_sums(raw, f))
+            for config in configs for f in factors)
 
 
 def simulate_path_block(config: StepperConfig, grid: TimeGrid, seed: int,
@@ -428,49 +456,21 @@ def simulate_path_block(config: StepperConfig, grid: TimeGrid, seed: int,
     Row ``i`` is the scheme's kernel applied step by step to row ``i`` of
     ``sample_increment_block(grid, seed, start, count)`` (clipped at ``a_h``
     for the monotone variant), starting from the spec's initial value.  It
-    depends only on ``(seed, start + i)``: it equals
-    ``simulate_path_block(config, grid, seed, start + i, 1)[0]`` bit for bit.
-    Guard violations raise in strict mode.  This is the one-leg case of
+    equals ``simulate_path_block(config, grid, seed, start + i, 1)[0]`` bit
+    for bit.  This is the one-leg, one-grid case of
     :func:`simulate_synchronous_block`.
     """
     return next(simulate_synchronous_block((config,), grid, seed, start, count))
 
 
-def _coarse_sums(raw_fine: Array, factor: int) -> Array:
-    # differences of the fine prefix sums rather than blockwise sums: the
-    # coarse increments then retrace the fine path's own left-to-right
-    # accumulation, so a driftless unit-diffusion path agrees bitwise at
-    # shared nodes
-    if factor == 1:
-        return raw_fine
-    paths, n_fine = raw_fine.shape
-    nodes = np.cumsum(raw_fine, axis=1)[:, factor - 1 :: factor]
-    out = np.empty_like(nodes)
-    out[:, 0] = nodes[:, 0]
-    np.subtract(nodes[:, 1:], nodes[:, :-1], out=out[:, 1:])
-    return out
-
-
 def simulate_coupled_block(config: StepperConfig, fine_grid: TimeGrid,
                            factors: Sequence[int], seed: int, start: int,
                            count: int) -> dict[int, Array]:
-    """Paths on nested grids driven by one Brownian stream: factor -> (count, N/factor + 1).
+    """One config on nested grids driven by one Brownian stream: factor -> (count, N/factor + 1).
 
-    For each coarsening factor the increments are consecutive differences of
-    the fine prefix sums, so all returned paths are couplings of the same
-    noise and a driftless unit-diffusion path agrees with the fine path at
-    shared nodes bitwise.  Factor 1 returns the fine paths themselves.  Every
-    factor must divide the fine step count.  As in
-    :func:`simulate_path_block`, row ``i`` of every factor depends only on
-    ``(seed, start + i)``.
+    The one-leg case of :func:`simulate_synchronous_block`, with repeated
+    factors dropped.  Factor 1 returns the fine paths themselves.
     """
-    _enforce_guards(config, fine_grid)
-    for f in factors:
-        fine_grid.coarsen(f)
-    raw = sample_increment_block(fine_grid, seed, start, count)
-    out: dict[int, Array] = {}
-    for f in dict.fromkeys(factors):
-        grid_c = fine_grid.coarsen(f)
-        _enforce_guards(config, grid_c)
-        out[f] = _step_matrix(config, grid_c, _coarse_sums(raw, f))
-    return out
+    factors = tuple(dict.fromkeys(factors))
+    legs = simulate_synchronous_block((config,), fine_grid, seed, start, count, factors)
+    return dict(zip(factors, legs))

@@ -8,9 +8,7 @@ p-distance.  :func:`stopping_stability_gap` evaluates both sides of that
 bound exactly on finite trees.
 
 Values are computed by backward induction (the Snell envelope); arithmetic
-stays exact whenever node values, masses and the payoff are rational.  A
-brute-force enumeration over all adapted stopping rules is provided for tiny
-trees as an independent cross-check.
+stays exact whenever node values, masses and the payoff are rational.
 """
 
 from __future__ import annotations
@@ -20,21 +18,17 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .discrete_bicausal import FiniteAdaptedProcess, TreeNode, exact_bicausal_value, power_cost
-from .errors import AssumptionError, ConfigurationError, InstanceTooLargeError
+from .errors import AssumptionError, ConfigurationError
 
 __all__ = [
     "PathPayoff",
     "coordinate_payoff",
     "snell_value",
-    "enumerate_stopping_value",
     "verify_payoff_lipschitz",
     "stopping_stability_gap",
 ]
 
 OBJECTIVES = ("inf", "sup")
-
-#: node-count cap for exhaustive stopping-rule enumeration
-ENUMERATION_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -92,48 +86,6 @@ def snell_value(proc: FiniteAdaptedProcess, payoff: PathPayoff) -> "Fraction | f
         return opt(here, cont)
 
     return sum(r.mass * best(r, (r.value,), 1) for r in proc.roots)
-
-
-def enumerate_stopping_value(proc: FiniteAdaptedProcess, payoff: PathPayoff) -> "Fraction | float":
-    """Optimum over an exhaustive enumeration of adapted stopping rules.
-
-    A rule picks stop/continue at every inner history (leaves always stop);
-    that is exactly an adapted stopping time on the tree.  Intended as an
-    independent check of :func:`snell_value` on trees with at most
-    ``ENUMERATION_CAP`` nodes; larger trees raise
-    :class:`~awsde.errors.InstanceTooLargeError`.
-    """
-    total = 0
-    inner: dict[tuple, int] = {}
-
-    def index(n: TreeNode, path: tuple) -> None:
-        nonlocal total
-        total += 1
-        if n.children:
-            inner[path] = len(inner)
-            for i, c in enumerate(n.children):
-                index(c, path + (i,))
-
-    for i, r in enumerate(proc.roots):
-        index(r, (i,))
-    if total > ENUMERATION_CAP:
-        raise InstanceTooLargeError(
-            f"enumeration handles at most {ENUMERATION_CAP} nodes, got {total}"
-        )
-
-    def rule_value(mask: int):
-        def walk(n: TreeNode, path: tuple, prefix: tuple, stage: int):
-            if not n.children or (mask >> inner[path]) & 1:
-                return payoff.evaluate(stage, prefix)
-            return sum(
-                c.mass * walk(c, path + (i,), prefix + (c.value,), stage + 1)
-                for i, c in enumerate(n.children)
-            )
-
-        return sum(r.mass * walk(r, (i,), (r.value,), 1) for i, r in enumerate(proc.roots))
-
-    opt = max if payoff.objective == "sup" else min
-    return opt(rule_value(mask) for mask in range(1 << len(inner)))
 
 
 def _leaf_paths(proc: FiniteAdaptedProcess) -> list[tuple]:

@@ -91,11 +91,6 @@ def _f2(u: Array) -> Array:
     return 2.0 * (1.0 - u2) * (1.0 - 17.0 * u2 + 28.0 * u2 * u2)
 
 
-def _f3(u: Array) -> Array:
-    u2 = u * u
-    return u * (-72.0 + 360.0 * u2 - 336.0 * u2 * u2)
-
-
 # ---------------------------------------------------------------------------
 # transform
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from awsde import (
     AssumptionError,
+    BracketError,
     ConfigurationError,
     RateCurve,
     StepSizeError,
@@ -345,6 +347,16 @@ def test_strong_error_curve_refuses_infinite_p():
 def test_moment_diagnostic_refuses_infinite_p():
     with pytest.raises(ConfigurationError, match="got inf"):
         moment_diagnostic(builtin_model("cubic"), "iem", math.inf, [0.25], 8, 3)
+
+
+def test_iem_bracket_error_names_a_state_in_the_no_root_gap():
+    # sign_drift's drift jumps down by 4 at x = 1, so z - h b(z) jumps up from
+    # 1 - 2.5h to 1 + 1.5h there and a y in between has no root
+    h = 2.0**-4
+    with pytest.raises(BracketError, match="did not reach the residual tolerance; ") as exc:
+        moment_diagnostic(builtin_model("sign_drift"), "iem", 2.0, [h], 512, 7)
+    y = float(re.search(r"first at index \d+: y=([^,]+),", str(exc.value)).group(1))
+    assert 1.0 - 2.5 * h < y < 1.0 + 1.5 * h
 
 
 def test_guards_checked_on_every_coarsened_grid():

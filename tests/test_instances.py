@@ -4,12 +4,21 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from awsde import check_stochastic_monotone, processes_equal, verify_payoff_lipschitz
+from awsde import check_stochastic_monotone, verify_payoff_lipschitz
 from awsde._instances import (
     random_comonotone_pair,
     random_stopping_instance,
     random_tree_process,
 )
+
+
+def _canon(nodes):
+    return tuple(sorted((n.value, n.mass, _canon(n.children)) for n in nodes))
+
+
+def processes_equal(a, b):
+    """Exact equality of the laws of two trees; sibling order is irrelevant."""
+    return a.stages == b.stages and _canon(a.roots) == _canon(b.roots)
 
 
 def _sibling_groups(proc):
@@ -29,6 +38,7 @@ def test_generators_deterministic():
     t1 = random_tree_process(random.Random(12), 2)
     t2 = random_tree_process(random.Random(12), 2)
     assert processes_equal(t1, t2)
+    assert not processes_equal(t1, random_tree_process(random.Random(13), 2))
 
 
 def test_comonotone_pairs_are_stochastically_increasing():

@@ -1,5 +1,7 @@
 """One-step maps, the implicit drift solve, and block simulation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,6 +304,66 @@ def test_synchronous_block_checks_every_guard_before_drawing(monkeypatch):
     with pytest.raises(StepSizeError):
         simulate_synchronous_block(configs, grid, seed=1, start=0, count=4)
     assert draws == []
+    # the fine grid h = 1/1024 passes and the coarse grid h = 1/256 breaks
+    # the guard; the coarse grid is checked before the fine one is drawn
+    tiem = config_from_alias("tiem", builtin_model("sign_drift"))
+    with pytest.raises(StepSizeError, match="h=0.00390625"):
+        simulate_coupled_block(tiem, TimeGrid(1.0, 1024), (1, 4), seed=1, start=0, count=4)
+    assert draws == []
+
+
+def test_legs_by_grids_are_the_coupled_blocks_of_each_config():
+    grid = TimeGrid(1.0, 64)
+    configs = [config_from_alias("iem", builtin_model("cubic")),
+               config_from_alias("tiem-mono", builtin_model("sign_drift"), guard_policy="warn")]
+    factors = (1, 4, 16)
+    legs = list(simulate_synchronous_block(configs, grid, seed=3, start=2, count=5,
+                                           factors=factors))
+    assert len(legs) == len(configs) * len(factors)
+    for j, config in enumerate(configs):
+        coupled = simulate_coupled_block(config, grid, factors, seed=3, start=2, count=5)
+        for i, f in enumerate(factors):
+            assert legs[j * len(factors) + i].shape == (5, 64 // f + 1)
+            assert np.array_equal(legs[j * len(factors) + i], coupled[f])
+        assert np.array_equal(coupled[1], simulate_path_block(config, grid, 3, 2, 5))
+
+
+def test_coupled_block_drops_repeated_factors(monkeypatch):
+    import awsde.schemes
+
+    grid = TimeGrid(1.0, 64)
+    cfg = config_from_alias("em", builtin_model("cubic"))
+    stepped = []
+    original = awsde.schemes._step_matrix
+
+    def counting(config, grid, raw_dw):
+        stepped.append(grid.steps)
+        return original(config, grid, raw_dw)
+
+    monkeypatch.setattr(awsde.schemes, "_step_matrix", counting)
+    repeated = simulate_coupled_block(cfg, grid, (4, 1, 4), seed=8, start=0, count=3)
+    assert list(repeated) == [4, 1]
+    assert stepped == [16, 64]
+    once = simulate_coupled_block(cfg, grid, (4, 1), seed=8, start=0, count=3)
+    for f in once:
+        assert np.array_equal(repeated[f], once[f])
+
+
+@pytest.mark.parametrize("which,y", [("lower", -10.0), ("upper", 10.0)])
+def test_bracket_expansion_failure_names_its_witness(which, y):
+    # z - h (z / h + 1) = -h for every z, so no bracket end ever straddles y
+    h = 0.5
+    with pytest.raises(BracketError) as exc:
+        implicit_solve(np.array([0.0, y, y]), lambda z: z / h + 1.0, h)
+    message = str(exc.value)
+    assert message.startswith(
+        f"{which} bracket expansion failed; drift may not be one-sided Lipschitz; "
+    )
+    assert f"2 of 3 elements unresolved, first at index 1: y={y!r}, end=" in message
+    end, res = (float(v) for v in re.search(r"end=(\S+), res=(\S+)$", message).groups())
+    # 64 doublings moved the end about 2^64 outward and its residual kept the wrong sign
+    assert np.sign(end) == np.sign(y) and abs(end) > 2.0 ** 63
+    assert np.sign(res) == -np.sign(y)
 
 
 def test_guard_policies():

@@ -9,10 +9,8 @@ import pytest
 from awsde import (
     AssumptionError,
     ConfigurationError,
-    InstanceTooLargeError,
     PathPayoff,
     coordinate_payoff,
-    enumerate_stopping_value,
     node,
     perturbed_start_pair,
     process,
@@ -23,6 +21,54 @@ from awsde import (
 from awsde._instances import random_stopping_instance, random_tree_process
 
 SUP = coordinate_payoff("sup")
+
+#: node-count cap for the exhaustive stopping-rule enumeration
+ENUMERATION_CAP = 8
+
+
+class InstanceTooLargeError(Exception):
+    """A tree exceeds the enumeration's ``ENUMERATION_CAP`` nodes."""
+
+
+def enumerate_stopping_value(proc, payoff):
+    """Optimum over an exhaustive enumeration of adapted stopping rules.
+
+    A rule picks stop/continue at every inner history (leaves always stop);
+    that is exactly an adapted stopping time on the tree.  An oracle for
+    :func:`snell_value` on trees with at most ``ENUMERATION_CAP`` nodes;
+    larger trees raise :class:`InstanceTooLargeError`.
+    """
+    total = 0
+    inner = {}
+
+    def index(n, path):
+        nonlocal total
+        total += 1
+        if n.children:
+            inner[path] = len(inner)
+            for i, c in enumerate(n.children):
+                index(c, path + (i,))
+
+    for i, r in enumerate(proc.roots):
+        index(r, (i,))
+    if total > ENUMERATION_CAP:
+        raise InstanceTooLargeError(
+            f"enumeration handles at most {ENUMERATION_CAP} nodes, got {total}"
+        )
+
+    def rule_value(mask):
+        def walk(n, path, prefix, stage):
+            if not n.children or (mask >> inner[path]) & 1:
+                return payoff.evaluate(stage, prefix)
+            return sum(
+                c.mass * walk(c, path + (i,), prefix + (c.value,), stage + 1)
+                for i, c in enumerate(n.children)
+            )
+
+        return sum(r.mass * walk(r, (i,), (r.value,), 1) for i, r in enumerate(proc.roots))
+
+    opt = max if payoff.objective == "sup" else min
+    return opt(rule_value(mask) for mask in range(1 << len(inner)))
 
 
 def _running_sum_payoff(step: Fraction) -> PathPayoff:
