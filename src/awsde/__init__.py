@@ -63,8 +63,7 @@ from .randomness import (
     truncation_level,
 )
 from .schemes import (
-    SCHEME_ALIASES,
-    SCHEME_KINDS,
+    SCHEMES,
     StepperConfig,
     config_from_alias,
     em_step,
@@ -88,7 +87,6 @@ from .transform import (
     PiecewiseTransform,
     TransformedCoefficients,
     build_transform,
-    invert_transform,
     transformed_coefficients,
 )
 
@@ -116,11 +114,9 @@ __all__ = [
     "PiecewiseTransform",
     "TransformedCoefficients",
     "build_transform",
-    "invert_transform",
     "transformed_coefficients",
     # schemes
-    "SCHEME_KINDS",
-    "SCHEME_ALIASES",
+    "SCHEMES",
     "StepperConfig",
     "config_from_alias",
     "guard_report",

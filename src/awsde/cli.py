@@ -45,7 +45,7 @@ from .estimator import (
 )
 from .models import builtin_model
 from .randomness import TimeGrid
-from .schemes import SCHEME_ALIASES, config_from_alias, simulate_path_block
+from .schemes import SCHEMES, config_from_alias, simulate_path_block
 from .stopping import coordinate_payoff, snell_value, stopping_stability_gap
 from .transform import build_transform
 
@@ -102,9 +102,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and (not isinstance(value, int) or value <= 0):
                 raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
-        if self.scheme is not None and self.scheme not in SCHEME_ALIASES:
+        if self.scheme is not None and self.scheme not in SCHEMES:
             raise ConfigurationError(
-                f"unknown scheme {self.scheme!r}; expected one of {sorted(SCHEME_ALIASES)}"
+                f"unknown scheme {self.scheme!r}; expected one of {sorted(SCHEMES)}"
             )
         if self.p is not None and not 1.0 <= float(self.p) < math.inf:
             raise ConfigurationError(f"p must be finite and at least 1, got {self.p!r}")
@@ -310,14 +310,12 @@ def _run_rates(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
         )
     paths = config.paths if config.paths is not None else 1024
     curve = strong_error_curve(
-        builtin_model(model),
-        alias,
+        config_from_alias(alias, builtin_model(model), guard_policy="warn"),
         p,
         h_values,
         h_ref,
         paths,
         config.seed,
-        guard_policy="warn",
         workers=config.workers,
     )
     write_rate_curve_csv(out / "rate_curve.csv", curve)
@@ -523,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Monte Carlo paths (for stopping: instance count)")
     run.add_argument("--model", default=None, help="builtin model name where applicable")
     run.add_argument("--p", type=float, default=None, help="cost exponent")
-    run.add_argument("--scheme", choices=sorted(SCHEME_ALIASES), default=None,
+    run.add_argument("--scheme", choices=sorted(SCHEMES), default=None,
                      help="discretisation scheme where applicable")
     run.add_argument("--workers", type=int, default=None,
                      help="worker threads (results are identical for any count)")

@@ -35,13 +35,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import AssumptionError, ConfigurationError, StepSizeError
+from .errors import AssumptionError, ConfigurationError
 from .models import CoefficientSpec
 from .randomness import TimeGrid, truncation_level
 from .schemes import (
     StepperConfig,
-    config_from_alias,
-    guard_report,
+    _check_guards,
     simulate_coupled_block,
     simulate_path_block,
     simulate_synchronous_block,
@@ -95,7 +94,8 @@ class EstimateResult:
 
     ``stderr`` is the sample standard deviation over per-path integrals
     divided by ``sqrt(paths)`` (``nan`` for a single path).  ``extra`` carries
-    scheme names, the seed, and any optimality caveats.
+    the seed, the two legs' scheme names (``extra["schemes"]``, such as
+    ``("em", "em")``), any optimality caveats and the guard violations.
     """
 
     estimate: float
@@ -175,16 +175,15 @@ def _synchronous_estimates(
             del y, c
 
     _run_blocks(paths, workers, work)
-    base_guards = guard_report(base, grid)
     results = []
     for other, sums, other_notes in zip(others, per_path, notes):
         estimate = float(np.mean(sums))
         stderr = float(np.std(sums, ddof=1) / math.sqrt(paths)) if paths > 1 else float("nan")
         extra = {
             "seed": seed,
-            "schemes": (base.kind, other.kind),
+            "schemes": (base.scheme, other.scheme),
             "warnings": tuple(other_notes),
-            "guard_warnings": tuple(dict.fromkeys(base_guards + guard_report(other, grid))),
+            "guard_warnings": _check_guards((base, other), (grid,)),
         }
         results.append(
             EstimateResult(estimate=estimate, stderr=stderr, paths=paths, grid=grid, extra=extra)
@@ -192,22 +191,7 @@ def _synchronous_estimates(
     return tuple(results)
 
 
-def _pair_configs(
-    spec_mu: CoefficientSpec,
-    spec_nu: CoefficientSpec,
-    schemes: "tuple[StepperConfig, StepperConfig]",
-) -> "tuple[StepperConfig, StepperConfig]":
-    config_mu, config_nu = schemes
-    if config_mu.spec is not spec_mu or config_nu.spec is not spec_nu:
-        raise ConfigurationError(
-            "each scheme config must wrap the coefficient spec of its own leg"
-        )
-    return config_mu, config_nu
-
-
 def estimate_vc(
-    spec_mu: CoefficientSpec,
-    spec_nu: CoefficientSpec,
     schemes: "tuple[StepperConfig, StepperConfig]",
     cost: Callable[[Array, Array, Array], Array],
     grid: TimeGrid,
@@ -217,7 +201,9 @@ def estimate_vc(
 ) -> EstimateResult:
     """Estimate the synchronous-coupling transport value between two SDE laws.
 
-    Both legs of every sample are driven by the same increment stream (the
+    ``schemes`` holds the two legs ``(mu, nu)``, each a
+    :class:`~awsde.schemes.StepperConfig` with its own coefficient spec.  Both
+    legs of every sample are driven by the same increment stream (the
     synchronous coupling); each path contributes ``h * sum_{k=0}^{N} c(t_k,
     X_k, Y_k)``: all ``N + 1`` grid nodes, ``t_0 = 0`` and ``t_N = T``
     included, are weighted by ``h``.  When both legs start at one point and
@@ -228,7 +214,7 @@ def estimate_vc(
     ``cost`` must be vectorised over ``(t, x, y)`` arrays.  Identical specs
     with identical schemes give exactly zero with zero variance.
     """
-    config_mu, config_nu = _pair_configs(spec_mu, spec_nu, schemes)
+    config_mu, config_nu = schemes
     return _synchronous_estimates(config_mu, (config_nu,), cost, grid, paths, seed, workers)[0]
 
 
@@ -243,10 +229,10 @@ def estimate_aw_sweep(
 ) -> tuple[EstimateResult, ...]:
     """Adapted distance estimates of one base law against several others.
 
-    Result ``i`` equals ``estimate_aw(base.spec, others[i].spec, (base,
-    others[i]), p, grid, paths, seed, workers)`` bit for bit, ``extra``
-    included.  Every path is drawn once and its base leg stepped once for the
-    whole sweep, rather than once per pair.
+    Result ``i`` equals ``estimate_aw((base, others[i]), p, grid, paths,
+    seed, workers)`` bit for bit, ``extra`` included.  Every path is drawn
+    once and its base leg stepped once for the whole sweep, rather than once
+    per pair.
     """
     cost = power_time_cost(p)
     results = _synchronous_estimates(base, others, cost, grid, paths, seed, workers)
@@ -261,8 +247,6 @@ def estimate_aw_sweep(
 
 
 def estimate_aw(
-    spec_mu: CoefficientSpec,
-    spec_nu: CoefficientSpec,
     schemes: "tuple[StepperConfig, StepperConfig]",
     p: float,
     grid: TimeGrid,
@@ -272,12 +256,13 @@ def estimate_aw(
 ) -> EstimateResult:
     """Adapted distance estimate under the stagewise power cost.
 
+    ``schemes`` holds the two legs ``(mu, nu)``, as for :func:`estimate_vc`.
     ``estimate`` (and ``stderr``) refer to the p-th power of the distance,
     which is what the Monte Carlo sum targets; ``extra["aw"]`` holds the p-th
     root of the point estimate.  This is the one-leg case of
     :func:`estimate_aw_sweep`.
     """
-    config_mu, config_nu = _pair_configs(spec_mu, spec_nu, schemes)
+    config_mu, config_nu = schemes
     return estimate_aw_sweep(config_mu, (config_nu,), p, grid, paths, seed, workers)[0]
 
 
@@ -381,8 +366,7 @@ def _steps_for(horizon: float, h: float) -> int:
 
 
 def strong_error_curve(
-    spec: CoefficientSpec,
-    scheme: "str | StepperConfig",
+    config: StepperConfig,
     p: float,
     h_values: Sequence[float],
     h_ref: float,
@@ -390,17 +374,21 @@ def strong_error_curve(
     seed: int,
     *,
     horizon: float = 1.0,
-    guard_policy: str = "strict",
     workers: int = 1,
 ) -> RateCurve:
-    """Strong errors of a scheme against its own fine-step reference.
+    """Strong errors of one leg against its own fine-step reference.
 
-    For every requested ``h`` the scheme runs on the coarsened grid driven by
-    block sums of the reference increments, so each coarse path is coupled to
-    the ``h_ref`` reference path; ``h_ref`` must divide every ``h``.  Errors
-    are reported in the sup-over-nodes and time-integrated p-norms, with
-    log-log slope fits for their pointwise maximum and for each norm alone
-    (skipped when an error sits at the rounding floor).
+    For every requested ``h`` the leg ``config`` runs on the coarsened grid
+    driven by block sums of the reference increments, so each coarse path is
+    coupled to the ``h_ref`` reference path; ``h_ref`` must divide every
+    ``h``.  Errors are reported in the sup-over-nodes and time-integrated
+    p-norms, with log-log slope fits for their pointwise maximum and for each
+    norm alone (skipped when an error sits at the rounding floor).
+
+    The guards are checked on the reference grid and on every coarse grid
+    before any path is drawn: a strict config raises one
+    :class:`~awsde.errors.StepSizeError` naming every violation, and a
+    ``"warn"`` config records them in ``RateCurve.guard_warnings``.
     """
     if not 1 <= p < math.inf:
         raise ConfigurationError(f"p must be finite and >= 1, got {p}")
@@ -409,10 +397,6 @@ def strong_error_curve(
     hs = tuple(sorted({float(h) for h in h_values}, reverse=True))
     if len(hs) != len(tuple(h_values)):
         raise ConfigurationError("h_values must not contain duplicates")
-    if isinstance(scheme, str):
-        config = config_from_alias(scheme, spec, guard_policy=guard_policy)
-    else:
-        config = scheme
 
     ref_steps = _steps_for(horizon, h_ref)
     fine = TimeGrid(horizon=horizon, steps=ref_steps)
@@ -422,16 +406,9 @@ def strong_error_curve(
         factor = round(ratio) if math.isfinite(ratio) else 0
         if factor < 1 or abs(ratio - factor) > 1e-9 * factor:
             raise ConfigurationError(f"h_ref={h_ref!r} does not divide h={h!r}")
-        if ref_steps % factor != 0:
-            raise ConfigurationError(f"factor {factor} does not divide {ref_steps} steps")
         factors.append(int(factor))
 
-    guard_notes: list[str] = []
-    for factor in [1] + factors:
-        guard_notes.extend(guard_report(config, fine.coarsen(factor)))
-    guard_notes = list(dict.fromkeys(guard_notes))
-    if guard_notes and config.guard_policy == "strict":
-        raise StepSizeError("; ".join(guard_notes))
+    guard_notes = _check_guards((config,), [fine.coarsen(f) for f in [1] + factors])
 
     n_blocks = -(-paths // BLOCK_PATHS)
     sup_partials = [np.zeros((n_blocks, ref_steps // f + 1), dtype=np.float64) for f in factors]
@@ -471,7 +448,7 @@ def strong_error_curve(
         fit=_fit_loglog(hs, err_max),
         fit_sup=_fit_loglog(hs, err_sup),
         fit_int=_fit_loglog(hs, err_int),
-        guard_warnings=tuple(guard_notes),
+        guard_warnings=guard_notes,
     )
 
 
@@ -490,30 +467,26 @@ class MomentRow:
 
 
 def moment_diagnostic(
-    spec: CoefficientSpec,
-    scheme: "str | StepperConfig",
+    config: StepperConfig,
     p: float,
     h_values: Sequence[float],
     paths: int,
     seed: int,
     *,
     horizon: float = 1.0,
-    guard_policy: str = "strict",
     workers: int = 1,
 ) -> tuple[MomentRow, ...]:
-    """Empirical sup-moments of a scheme across step sizes.
+    """Empirical sup-moments of one leg ``config`` across step sizes.
 
-    Divergent paths (overflow to nan or inf) count as infinite, so a blowing-up
-    scheme reports an infinite sup-moment rather than hiding behind nan.
+    A strict config raises :class:`~awsde.errors.StepSizeError` at the first
+    step size that violates one of its guards.  Divergent paths (overflow to
+    nan or inf) count as infinite, so a blowing-up scheme reports an
+    infinite sup-moment rather than hiding behind nan.
     """
     if not 1 <= p < math.inf:
         raise ConfigurationError(f"p must be finite and >= 1, got {p}")
     if not isinstance(paths, int) or paths < 1:
         raise ConfigurationError(f"paths must be a positive integer, got {paths!r}")
-    if isinstance(scheme, str):
-        config = config_from_alias(scheme, spec, guard_policy=guard_policy)
-    else:
-        config = scheme
     rows: list[MomentRow] = []
     for h in h_values:
         grid = TimeGrid(horizon=horizon, steps=_steps_for(horizon, float(h)))

@@ -12,8 +12,8 @@ Each scheme has one single-step kernel:
   dW`` with ``beta = b G' + sigma^2 G'' / 2`` for the new state ``x'``, from
   the closed forms of ``G``, ``G'`` and ``G''`` alone.  This is ``z' - h
   btilde(z') = G(x) + sigmatilde(G(x)) dW`` with ``z' = G(x')``, so no
-  ``G^{-1}`` is evaluated.  With the ``monotone`` flag the block loop
-  truncates the increments at ``a_h``, and whenever additionally ``1 -
+  ``G^{-1}`` is evaluated.  Under ``tiem-mono`` the block loop truncates
+  the increments at ``a_h``, and whenever additionally ``1 -
   L_sigmatilde a_h > 0`` the whole step is nondecreasing in the state,
   uniformly over increments.
 - :func:`symmetrised_em_step`, ``|x + kappa (eta - x) h + gamma sqrt(x) dW|``
@@ -30,10 +30,12 @@ loop that applies the kernel to a whole column of increments at a time.  Row
 width-1 block.
 
 Step-size guards (``h < 1/L`` for the implicit drift solve and
-``1 - L_sigmatilde a_h > 0`` for the monotone variant) are checked against the
+``1 - L_sigmatilde a_h > 0`` for ``tiem-mono``) are checked against the
 declared constants on every grid a config meets, before any increment is
-drawn.  ``guard_policy="strict"`` raises; ``guard_policy="warn"`` proceeds
-and lets callers record the violation messages from :func:`guard_report`.
+drawn.  A config with ``guard_policy="strict"`` raises one
+:class:`StepSizeError` that names every violation on every grid; with
+``guard_policy="warn"`` it proceeds and callers record the messages of
+:func:`guard_report`.
 The implicit solve itself is a bracketed regula falsi and returns a
 deterministic root even when the guard fails and the map is not monotone.
 """
@@ -41,7 +43,7 @@ deterministic root even when the guard fails and the map is not monotone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,8 +53,7 @@ from .randomness import TimeGrid, sample_increment_block, truncation_level
 from .transform import TransformedCoefficients, transformed_coefficients
 
 __all__ = [
-    "SCHEME_KINDS",
-    "SCHEME_ALIASES",
+    "SCHEMES",
     "StepperConfig",
     "config_from_alias",
     "guard_report",
@@ -68,87 +69,72 @@ __all__ = [
 
 Array = np.ndarray
 
-SCHEME_KINDS = (
-    "explicit_em",
-    "semi_implicit_em",
-    "transformed_semi_implicit",
-    "symmetrised_em",
-)
-
-# Short names accepted by the command line.
-SCHEME_ALIASES: Mapping[str, tuple[str, bool]] = {
-    "em": ("explicit_em", False),
-    "iem": ("semi_implicit_em", False),
-    "tiem": ("transformed_semi_implicit", False),
-    "tiem-mono": ("transformed_semi_implicit", True),
-    "sym-em": ("symmetrised_em", False),
-}
+#: explicit Euler-Maruyama, drift-implicit Euler, the transformed
+#: semi-implicit step without and with increment truncation, and the
+#: symmetrised Euler step of the square-root diffusion
+SCHEMES = ("em", "iem", "tiem", "tiem-mono", "sym-em")
 
 _RESIDUAL_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class StepperConfig:
-    """A scheme kind bound to a coefficient spec.
+    """One leg: a scheme from :data:`SCHEMES`, its coefficient spec and a guard policy.
 
-    For the transformed kind the transformed coefficients are built eagerly
-    (including their declared-constant probe cross-check).  ``monotone`` is
-    only valid for the transformed kind and switches on increment truncation.
+    ``guard_policy`` is ``"strict"`` (a violated step-size guard raises) or
+    ``"warn"``.  For ``tiem`` and ``tiem-mono`` the transformed coefficients
+    are built eagerly, with their declared-constant probe cross-check, into
+    ``transformed``.  ``monotone`` is true for ``tiem-mono``, whose block loop
+    truncates the increments at ``a_h``.
     """
 
-    kind: str
+    scheme: str
     spec: CoefficientSpec
-    monotone: bool = False
     guard_policy: str = "strict"
-    transformed: TransformedCoefficients | None = field(default=None)
+    transformed: TransformedCoefficients | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.kind not in SCHEME_KINDS:
-            raise ConfigurationError(f"unknown scheme kind {self.kind!r}; expected {SCHEME_KINDS}")
+        if self.scheme not in SCHEMES:
+            raise ConfigurationError(
+                f"unknown scheme {self.scheme!r}; expected one of {sorted(SCHEMES)}"
+            )
         if self.guard_policy not in ("strict", "warn"):
             raise ConfigurationError(
                 f"guard_policy must be 'strict' or 'warn', got {self.guard_policy!r}"
             )
-        if self.monotone and self.kind != "transformed_semi_implicit":
-            raise ConfigurationError("monotone=True is only valid for the transformed scheme")
-        if self.kind == "transformed_semi_implicit" and self.transformed is None:
+        if self.scheme in ("tiem", "tiem-mono"):
             object.__setattr__(self, "transformed", transformed_coefficients(self.spec))
-        if self.kind == "semi_implicit_em" and self.spec.one_sided_lipschitz_bound is None:
-            raise ConfigurationError(
-                "semi_implicit_em requires one_sided_lipschitz_bound on the spec"
-            )
-        if self.kind == "symmetrised_em":
+        if self.scheme == "iem" and self.spec.one_sided_lipschitz_bound is None:
+            raise ConfigurationError("iem requires one_sided_lipschitz_bound on the spec")
+        if self.scheme == "sym-em":
             missing = {"kappa", "eta", "gamma"} - set(self.spec.params)
             if missing:
                 raise ConfigurationError(
-                    f"symmetrised_em requires params kappa, eta, gamma; missing {sorted(missing)}"
+                    f"sym-em requires params kappa, eta, gamma; missing {sorted(missing)}"
                 )
+
+    @property
+    def monotone(self) -> bool:
+        return self.scheme == "tiem-mono"
 
 
 def config_from_alias(alias: str, spec: CoefficientSpec,
                       guard_policy: str = "strict") -> StepperConfig:
-    """Build a :class:`StepperConfig` from a short scheme name (em, iem, ...)."""
-    try:
-        kind, monotone = SCHEME_ALIASES[alias]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scheme {alias!r}; expected one of {sorted(SCHEME_ALIASES)}"
-        ) from None
-    return StepperConfig(kind=kind, spec=spec, monotone=monotone, guard_policy=guard_policy)
+    """The leg ``StepperConfig(alias, spec, guard_policy)``, ``alias`` one of :data:`SCHEMES`."""
+    return StepperConfig(alias, spec, guard_policy)
 
 
 def guard_report(config: StepperConfig, grid: TimeGrid) -> tuple[str, ...]:
     """Step-size guard violations of ``config`` on ``grid`` (empty if none)."""
     h = grid.step
     messages: list[str] = []
-    if config.kind == "semi_implicit_em":
+    if config.scheme == "iem":
         bound = config.spec.one_sided_lipschitz_bound
         if bound is not None and bound > 0.0 and h >= 1.0 / bound:
             messages.append(
                 f"step size h={h!r} violates h < 1/L with one-sided drift bound L={bound}"
             )
-    elif config.kind == "transformed_semi_implicit":
-        assert config.transformed is not None
+    elif config.transformed is not None:
         l_drift = config.transformed.one_sided_bound
         if l_drift > 0.0 and h >= 1.0 / l_drift:
             messages.append(
@@ -162,6 +148,25 @@ def guard_report(config: StepperConfig, grid: TimeGrid) -> tuple[str, ...]:
                     f"monotone guard 1 - L*a_h > 0 fails: L={l_diff}, a_h={a_h!r} at h={h!r}"
                 )
     return tuple(messages)
+
+
+def _check_guards(configs: Sequence[StepperConfig], grids: Sequence[TimeGrid]) -> tuple[str, ...]:
+    """Every config's :func:`guard_report` on every grid, repeats dropped.
+
+    Raises one :class:`StepSizeError` joining the messages of every strict
+    config, if any.
+    """
+    messages: list[str] = []
+    strict: list[str] = []
+    for config in configs:
+        for grid in grids:
+            found = guard_report(config, grid)
+            messages.extend(found)
+            if config.guard_policy == "strict":
+                strict.extend(found)
+    if strict:
+        raise StepSizeError("; ".join(dict.fromkeys(strict)))
+    return tuple(dict.fromkeys(messages))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +336,7 @@ def transformed_step(tc: TransformedCoefficients, x: "Array | float", h: float,
     ``G(v) - v`` is exactly 0, so there the step is
     :func:`semi_implicit_em_step` bit for bit; with an identity transform it
     is that step everywhere.  Truncating ``dw`` is the caller's
-    responsibility (the block loop truncates when the config's ``monotone``
-    flag is set).
+    responsibility (the block loop truncates for ``tiem-mono``).
     """
     spec, tr = tc.base, tc.transform
     if tr.is_identity:
@@ -371,14 +375,12 @@ def _kernel(config: StepperConfig, h: float) -> Callable[[float, Array, Array], 
     kernel checks no guard: :func:`simulate_synchronous_block` checks them once
     per config and grid, before it draws.
     """
-    spec = config.spec
-    if config.kind == "explicit_em":
+    spec, tc = config.spec, config.transformed
+    if config.scheme == "em":
         return lambda t, x, dw: em_step(spec, t, x, h, dw)
-    if config.kind == "semi_implicit_em":
+    if config.scheme == "iem":
         return lambda t, x, dw: semi_implicit_em_step(spec, t, x, h, dw, enforce_guard=False)
-    if config.kind == "transformed_semi_implicit":
-        tc = config.transformed
-        assert tc is not None
+    if tc is not None:
         return lambda t, x, dw: transformed_step(tc, x, h, dw, enforce_guard=False)
     kappa, eta, gamma = (spec.params[name] for name in ("kappa", "eta", "gamma"))
     return lambda t, x, dw: symmetrised_em_step(kappa, eta, gamma, x, h, dw)
@@ -428,8 +430,9 @@ def simulate_synchronous_block(configs: Sequence[StepperConfig], grid: TimeGrid,
     """Every config on ``grid`` and on its coarsenings, for paths ``start .. start+count-1``.
 
     Before it returns, this checks each config's guards on ``grid`` and on
-    ``grid.coarsen(f)`` for every ``f`` in ``factors`` (raising in strict
-    mode), then draws ``sample_increment_block(grid, seed, start, count)``
+    ``grid.coarsen(f)`` for every ``f`` in ``factors`` (one
+    :class:`StepSizeError` naming every violation of every strict config),
+    then draws ``sample_increment_block(grid, seed, start, count)``
     once.  The iterator yields one ``(count, steps // f + 1)`` state matrix
     per ``(config, f)``, configs in the outer loop, each stepped only when it
     is asked for, so a caller that reduces and drops each leg holds one at a
@@ -439,11 +442,7 @@ def simulate_synchronous_block(configs: Sequence[StepperConfig], grid: TimeGrid,
     """
     configs = tuple(configs)
     grids = {f: grid.coarsen(f) for f in factors}
-    for config in configs:
-        for g in (grid, *grids.values()):
-            messages = guard_report(config, g)
-            if messages and config.guard_policy == "strict":
-                raise StepSizeError("; ".join(messages))
+    _check_guards(configs, (grid, *grids.values()))
     raw = sample_increment_block(grid, seed, start, count)
     return (_step_matrix(config, grids[f], _coarse_sums(raw, f))
             for config in configs for f in factors)

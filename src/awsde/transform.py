@@ -19,8 +19,8 @@ The transformed step and the probe of the declared constants work in
 x-space with these closed forms of ``G``, ``G'``, ``G''`` and ``beta``; they
 never evaluate ``G^{-1}``.  :meth:`PiecewiseTransform.jets` evaluates ``G``,
 ``G'`` and ``G''`` together in one pass over the breakpoints; the single
-evaluators are its projections.  :func:`invert_transform` serves the transform
-dump and the tests.
+evaluators are its projections.  :meth:`PiecewiseTransform.inverse` serves the
+transform dump and the tests.
 
 The curvature jump of ``G`` at ``xi_k`` (``G''(xi_k+-) = +-2 alpha_k``) cancels
 the drift jump; the cancellation identity is
@@ -61,7 +61,6 @@ __all__ = [
     "PiecewiseTransform",
     "TransformedCoefficients",
     "build_transform",
-    "invert_transform",
     "transformed_coefficients",
 ]
 
@@ -177,24 +176,20 @@ class PiecewiseTransform:
         return self.jets(x)[2]
 
     def inverse(self, y: "Array | float") -> "Array | float":
-        """``G^{-1}(y)`` by :func:`invert_transform`; exact identity off the bumps."""
-        return invert_transform(self, y)
+        """Solve ``G(x) = y`` for ``x``.
 
+        This is :func:`awsde.schemes.implicit_solve` applied to ``x - (x -
+        G(x)) = y``: it runs until ``|G(x) - y| <= 1e-12 (1 + |y|)`` and
+        raises :class:`~awsde.errors.BracketError` if it does not converge.
+        Off the bumps ``x - G(x)`` is exactly 0, so there the result is ``y``
+        itself, bit for bit.  Each element is solved independently of the
+        rest of the batch, so results do not depend on how inputs are grouped
+        into calls.
+        """
+        from .schemes import implicit_solve  # schemes imports this module
 
-def invert_transform(transform: PiecewiseTransform, y: "Array | float") -> "Array | float":
-    """Solve ``G(x) = y`` for ``x``.
-
-    This is :func:`awsde.schemes.implicit_solve` applied to ``x - (x - G(x))
-    = y``: it runs until ``|G(x) - y| <= 1e-12 (1 + |y|)`` and raises
-    :class:`~awsde.errors.BracketError` if it does not converge.  Off the
-    bumps ``x - G(x)`` is exactly 0, so there the result is ``y`` itself, bit
-    for bit.  Each element is solved independently of the rest of the batch,
-    so results do not depend on how inputs are grouped into calls.
-    """
-    from .schemes import implicit_solve  # schemes imports this module
-
-    # solve on a copy: implicit_solve hands back its input where nothing moves
-    return implicit_solve(np.array(y, dtype=float), lambda v: v - transform.g(v), 1.0)
+        # solve on a copy: implicit_solve hands back its input where nothing moves
+        return implicit_solve(np.array(y, dtype=float), lambda v: v - self.g(v), 1.0)
 
 
 # ---------------------------------------------------------------------------

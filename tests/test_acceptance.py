@@ -19,6 +19,7 @@ from awsde import (
     antitone_first_plan,
     build_transform,
     builtin_model,
+    config_from_alias,
     coordinate_payoff,
     exact_bicausal_value,
     knothe_rosenblatt,
@@ -125,8 +126,8 @@ def test_criterion_05_strong_convergence_rate():
     h_values = [2.0**-e for e in range(6, 12)]
     for name in ("cubic", "sign_drift"):
         curve = strong_error_curve(
-            builtin_model(name), "tiem-mono", 2.0, h_values, 2.0**-14, 1024, 7,
-            guard_policy="warn",
+            config_from_alias("tiem-mono", builtin_model(name), guard_policy="warn"),
+            2.0, h_values, 2.0**-14, 1024, 7,
         )
         # the guarantee bounds the larger of the two error norms, and the
         # headline fit tracks exactly that quantity
@@ -137,12 +138,15 @@ def test_criterion_05_strong_convergence_rate():
 def test_criterion_06_moment_stability_vs_divergence():
     started = time.perf_counter()
     rows = moment_diagnostic(
-        builtin_model("cubic"), "tiem", 4.0, [2.0**-e for e in range(4, 11)], 10_000, 7
+        config_from_alias("tiem", builtin_model("cubic")), 4.0,
+        [2.0**-e for e in range(4, 11)], 10_000, 7,
     )
     moments = [row.sup_moment for row in rows]
     assert all(math.isfinite(m) for m in moments)
     assert max(moments) / min(moments) < 2.0
-    exploded = moment_diagnostic(builtin_model("cubic", x0=10.0), "em", 2.0, [0.25], 10_000, 7)
+    exploded = moment_diagnostic(
+        config_from_alias("em", builtin_model("cubic", x0=10.0)), 2.0, [0.25], 10_000, 7
+    )
     assert exploded[0].sup_moment > 1e6
     assert time.perf_counter() - started < 120.0
 

@@ -10,6 +10,7 @@ import pytest
 from awsde import (
     AssumptionError,
     BracketError,
+    CoefficientSpec,
     ConfigurationError,
     RateCurve,
     StepSizeError,
@@ -53,12 +54,12 @@ def test_power_time_cost_values_and_validation():
 def test_synchronous_zero_for_identical_legs():
     spec = builtin_model("brownian")
     result = estimate_vc(
-        spec, spec, _em_pair(spec, spec), power_time_cost(2.0), GRID, paths=128, seed=3
+        _em_pair(spec, spec), power_time_cost(2.0), GRID, paths=128, seed=3
     )
     assert result.estimate == 0.0
     assert result.stderr == 0.0
     assert result.paths == 128
-    assert result.extra["schemes"] == ("explicit_em", "explicit_em")
+    assert result.extra["schemes"] == ("em", "em")
     assert result.extra["seed"] == 3
 
 
@@ -68,7 +69,7 @@ def test_zero_distance_for_equal_laws_different_specs():
     brown = builtin_model("brownian")
     flat = builtin_model("perturbed_sign", k=0.0)
     result = estimate_vc(
-        brown, flat, _em_pair(brown, flat), power_time_cost(2.0), GRID, paths=128, seed=3
+        _em_pair(brown, flat), power_time_cost(2.0), GRID, paths=128, seed=3
     )
     assert result.estimate == 0.0
     assert result.stderr == 0.0
@@ -80,7 +81,7 @@ def test_estimate_grows_with_drift_perturbation():
     for k in (0.0, 5.0, 10.0):
         spec = builtin_model("perturbed_sign", k=k)
         results.append(
-            estimate_aw(brown, spec, _em_pair(brown, spec), 2.0, GRID, paths=512, seed=11)
+            estimate_aw(_em_pair(brown, spec), 2.0, GRID, paths=512, seed=11)
         )
     estimates = [r.estimate for r in results]
     assert estimates[0] == 0.0
@@ -95,9 +96,9 @@ def test_estimate_grows_with_drift_perturbation():
 def test_estimate_aw_p1_equals_vc():
     brown = builtin_model("brownian")
     spec = builtin_model("perturbed_sign", k=5.0)
-    aw = estimate_aw(brown, spec, _em_pair(brown, spec), 1.0, GRID, paths=256, seed=7)
+    aw = estimate_aw(_em_pair(brown, spec), 1.0, GRID, paths=256, seed=7)
     vc = estimate_vc(
-        brown, spec, _em_pair(brown, spec), power_time_cost(1.0), GRID, paths=256, seed=7
+        _em_pair(brown, spec), power_time_cost(1.0), GRID, paths=256, seed=7
     )
     assert aw.estimate == vc.estimate
     assert aw.stderr == vc.stderr
@@ -108,11 +109,11 @@ def test_worker_count_does_not_change_estimates():
     brown = builtin_model("brownian")
     spec = builtin_model("perturbed_sign", k=5.0)
     serial = estimate_vc(
-        brown, spec, _em_pair(brown, spec), power_time_cost(2.0), GRID,
+        _em_pair(brown, spec), power_time_cost(2.0), GRID,
         paths=700, seed=5, workers=1,
     )
     threaded = estimate_vc(
-        brown, spec, _em_pair(brown, spec), power_time_cost(2.0), GRID,
+        _em_pair(brown, spec), power_time_cost(2.0), GRID,
         paths=700, seed=5, workers=3,
     )
     assert serial.estimate == threaded.estimate
@@ -126,22 +127,12 @@ def test_triangle_like_consistency_at_p1():
 
     def est(a, b):
         return estimate_vc(
-            a, b, _em_pair(a, b), power_time_cost(1.0), GRID, paths=512, seed=21
+            _em_pair(a, b), power_time_cost(1.0), GRID, paths=512, seed=21
         )
 
     ab, bc, ac = est(brown, mid), est(mid, far), est(brown, far)
     slack = 3.0 * (ab.stderr + bc.stderr + ac.stderr)
     assert ac.estimate <= ab.estimate + bc.estimate + slack
-
-
-def test_each_config_must_wrap_its_own_spec():
-    brown = builtin_model("brownian")
-    other = builtin_model("perturbed_sign", k=5.0)
-    with pytest.raises(ConfigurationError, match="wrap the coefficient spec"):
-        estimate_vc(
-            brown, other, _em_pair(brown, brown), power_time_cost(1.0), GRID,
-            paths=8, seed=1,
-        )
 
 
 def test_feller_violation_warns_at_estimate_time():
@@ -150,7 +141,7 @@ def test_feller_violation_warns_at_estimate_time():
     assert any("feller" in w for w in cir.warnings)
     with pytest.warns(RuntimeWarning, match="feller condition violated"):
         result = estimate_vc(
-            brown, cir, _em_pair(brown, cir), power_time_cost(1.0), GRID,
+            _em_pair(brown, cir), power_time_cost(1.0), GRID,
             paths=8, seed=1,
         )
     assert any("feller" in w for w in result.extra["warnings"])
@@ -159,7 +150,7 @@ def test_feller_violation_warns_at_estimate_time():
 def test_single_path_has_no_stderr():
     spec = builtin_model("brownian")
     result = estimate_vc(
-        spec, spec, _em_pair(spec, spec), power_time_cost(1.0), GRID, paths=1, seed=0
+        _em_pair(spec, spec), power_time_cost(1.0), GRID, paths=1, seed=0
     )
     assert math.isnan(result.stderr)
 
@@ -205,8 +196,7 @@ def test_aw_sweep_equals_pairwise_estimates(case, workers):
     swept = estimate_aw_sweep(base, others, 2.0, grid, paths=600, seed=19, workers=workers)
     assert len(swept) == len(others)
     for other, result in zip(others, swept):
-        alone = estimate_aw(base.spec, other.spec, (base, other), 2.0, grid,
-                            paths=600, seed=19, workers=workers)
+        alone = estimate_aw((base, other), 2.0, grid, paths=600, seed=19, workers=workers)
         _assert_same_result(result, alone)
     assert any(result.estimate > 0.0 for result in swept)
 
@@ -222,7 +212,7 @@ def test_estimate_vc_is_the_pair_sum_and_its_leg_of_a_sweep():
     base = config_from_alias("em", brown)
     others = [config_from_alias("em", spec) for spec in specs]
     paths, seed = 600, 23
-    vc = estimate_vc(brown, specs[1], (base, others[1]), cost, GRID, paths, seed)
+    vc = estimate_vc((base, others[1]), cost, GRID, paths, seed)
     _assert_same_result(vc, _synchronous_estimates(base, others, cost, GRID, paths, seed, 1)[1])
 
     # the same sum from the two legs simulated block by block
@@ -237,6 +227,32 @@ def test_estimate_vc_is_the_pair_sum_and_its_leg_of_a_sweep():
     assert vc.stderr == float(np.std(per_path, ddof=1) / math.sqrt(paths))
 
 
+def _constant_drift(b):
+    return CoefficientSpec(
+        drift=lambda t, x: np.full_like(np.asarray(x, dtype=float), b),
+        diffusion=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
+        initial_value=0.5,
+        one_sided_lipschitz_bound=0.0,
+        name=f"constant_{b}",
+    )
+
+
+@pytest.mark.parametrize("alias", ["em", "iem"])
+@pytest.mark.parametrize("b1,b2", [(0.0, 0.5), (0.3, -0.7), (1.0, 2.0)])
+def test_constant_drift_pairs_give_the_closed_form_riemann_sum(alias, b1, b2):
+    # with one start and unit diffusion the synchronous legs differ by the
+    # deterministic (b1 - b2) t_k, so every path contributes the same
+    # right-point sum h * sum_{k=0..N} ((b1 - b2) t_k)^2
+    grid = TimeGrid(1.0, 512)
+    legs = (config_from_alias(alias, _constant_drift(b1)),
+            config_from_alias(alias, _constant_drift(b2)))
+    result = estimate_vc(legs, power_time_cost(2.0), grid, paths=300, seed=4)
+    h = grid.step
+    exact = h * sum(((b1 - b2) * k * h) ** 2 for k in range(grid.steps + 1))
+    assert result.estimate == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert result.stderr <= 1e-12 * result.estimate
+
+
 # ---------------------------------------------------------------------------
 # strong-error curves
 # ---------------------------------------------------------------------------
@@ -247,7 +263,7 @@ def test_driftless_errors_sit_at_the_rounding_floor():
     # the re-rounding of the fold near zero crossings, ulps at most
     spec = builtin_model("brownian")
     curve = strong_error_curve(
-        spec, "em", 2.0, [2.0**-3, 2.0**-4, 2.0**-5], 2.0**-8, 256, 9
+        config_from_alias("em", spec), 2.0, [2.0**-3, 2.0**-4, 2.0**-5], 2.0**-8, 256, 9
     )
     assert all(e <= 1e-13 for e in curve.err_sup)
     assert curve.fit_sup is None
@@ -259,7 +275,8 @@ def test_driftless_errors_sit_at_the_rounding_floor():
 def test_cubic_errors_decrease_and_fit_near_half():
     spec = builtin_model("cubic")
     curve = strong_error_curve(
-        spec, "tiem-mono", 2.0, [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7], 2.0**-10, 256, 9
+        config_from_alias("tiem-mono", spec), 2.0,
+        [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7], 2.0**-10, 256, 9,
     )
     for seq in (curve.err_sup, curve.err_int):
         for small, big in zip(seq[1:], seq[:-1]):
@@ -275,9 +292,8 @@ def test_cubic_errors_decrease_and_fit_near_half():
 
 def test_additive_jump_drift_fourth_moment_rate(additive_sign_spec):
     curve = strong_error_curve(
-        additive_sign_spec, "tiem-mono", 4.0,
+        config_from_alias("tiem-mono", additive_sign_spec, guard_policy="warn"), 4.0,
         [2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8], 2.0**-11, 192, 23,
-        guard_policy="warn",
     )
     assert curve.fit.slope >= 0.35
     assert curve.guard_warnings
@@ -286,16 +302,15 @@ def test_additive_jump_drift_fourth_moment_rate(additive_sign_spec):
 def test_multiplicative_jump_drift_fourth_moment_rate():
     spec = builtin_model("sign_drift")
     curve = strong_error_curve(
-        spec, "tiem-mono", 4.0,
+        config_from_alias("tiem-mono", spec, guard_policy="warn"), 4.0,
         [2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8], 2.0**-11, 192, 29,
-        guard_policy="warn",
     )
     assert curve.fit.slope >= 0.2
 
 
 def test_rate_curve_worker_invariance():
     spec = builtin_model("cubic")
-    args = (spec, "iem", 2.0, [2.0**-3, 2.0**-4], 2.0**-6, 300, 3)
+    args = (config_from_alias("iem", spec), 2.0, [2.0**-3, 2.0**-4], 2.0**-6, 300, 3)
     serial = strong_error_curve(*args, workers=1)
     threaded = strong_error_curve(*args, workers=4)
     assert serial.err_sup == threaded.err_sup
@@ -306,27 +321,27 @@ def test_rate_curve_worker_invariance():
 def test_strong_error_curve_validation():
     spec = builtin_model("cubic")
     with pytest.raises(ConfigurationError, match="p must be"):
-        strong_error_curve(spec, "iem", 0.5, [0.25], 0.125, 16, 0)
+        strong_error_curve(config_from_alias("iem", spec), 0.5, [0.25], 0.125, 16, 0)
     with pytest.raises(ConfigurationError, match="paths"):
-        strong_error_curve(spec, "iem", 2.0, [0.25], 0.125, 1, 0)
+        strong_error_curve(config_from_alias("iem", spec), 2.0, [0.25], 0.125, 1, 0)
     with pytest.raises(ConfigurationError, match="duplicates"):
-        strong_error_curve(spec, "iem", 2.0, [0.25, 0.25], 0.125, 16, 0)
+        strong_error_curve(config_from_alias("iem", spec), 2.0, [0.25, 0.25], 0.125, 16, 0)
     with pytest.raises(ConfigurationError, match="does not divide"):
-        strong_error_curve(spec, "iem", 2.0, [0.25], 0.1875, 16, 0)
+        strong_error_curve(config_from_alias("iem", spec), 2.0, [0.25], 0.1875, 16, 0)
     with pytest.raises(ConfigurationError, match="does not divide"):
-        strong_error_curve(spec, "iem", 2.0, [0.3], 0.0625, 16, 0)
+        strong_error_curve(config_from_alias("iem", spec), 2.0, [0.3], 0.0625, 16, 0)
 
 
 def test_bad_step_sizes_raise_configuration_errors():
     spec = builtin_model("cubic")
     for h in (0.0, math.nan, math.inf, -0.25):
         with pytest.raises(ConfigurationError, match="step size"):
-            moment_diagnostic(spec, "iem", 2.0, [h], 16, 3)
+            moment_diagnostic(config_from_alias("iem", spec), 2.0, [h], 16, 3)
     for h_ref in (0.0, math.nan, math.inf, 1e-320):
         with pytest.raises(ConfigurationError, match="step size"):
-            strong_error_curve(spec, "iem", 2.0, [0.25], h_ref, 16, 3)
+            strong_error_curve(config_from_alias("iem", spec), 2.0, [0.25], h_ref, 16, 3)
     with pytest.raises(ConfigurationError, match="does not divide"):
-        strong_error_curve(spec, "iem", 2.0, [math.nan], 0.125, 16, 3)
+        strong_error_curve(config_from_alias("iem", spec), 2.0, [math.nan], 0.125, 16, 3)
 
 
 def test_power_time_cost_refuses_infinite_p():
@@ -335,18 +350,20 @@ def test_power_time_cost_refuses_infinite_p():
             power_time_cost(p)
     brown = builtin_model("brownian")
     with pytest.raises(ConfigurationError, match="got inf"):
-        estimate_aw(brown, brown, _em_pair(brown, brown), math.inf, GRID, 8, 3)
+        estimate_aw(_em_pair(brown, brown), math.inf, GRID, 8, 3)
 
 
 def test_strong_error_curve_refuses_infinite_p():
     # an infinite p used to report err_sup = err_int = (1.0, 1.0) with stderr 0
     with pytest.raises(ConfigurationError, match="got inf"):
-        strong_error_curve(builtin_model("cubic"), "iem", math.inf, [0.25, 0.125], 0.0625, 8, 3)
+        strong_error_curve(
+            config_from_alias("iem", builtin_model("cubic")), math.inf, [0.25, 0.125], 0.0625, 8, 3
+        )
 
 
 def test_moment_diagnostic_refuses_infinite_p():
     with pytest.raises(ConfigurationError, match="got inf"):
-        moment_diagnostic(builtin_model("cubic"), "iem", math.inf, [0.25], 8, 3)
+        moment_diagnostic(config_from_alias("iem", builtin_model("cubic")), math.inf, [0.25], 8, 3)
 
 
 def test_iem_bracket_error_names_a_state_in_the_no_root_gap():
@@ -354,7 +371,7 @@ def test_iem_bracket_error_names_a_state_in_the_no_root_gap():
     # 1 - 2.5h to 1 + 1.5h there and a y in between has no root
     h = 2.0**-4
     with pytest.raises(BracketError, match="did not reach the residual tolerance; ") as exc:
-        moment_diagnostic(builtin_model("sign_drift"), "iem", 2.0, [h], 512, 7)
+        moment_diagnostic(config_from_alias("iem", builtin_model("sign_drift")), 2.0, [h], 512, 7)
     y = float(re.search(r"first at index \d+: y=([^,]+),", str(exc.value)).group(1))
     assert 1.0 - 2.5 * h < y < 1.0 + 1.5 * h
 
@@ -364,7 +381,7 @@ def test_guards_checked_on_every_coarsened_grid():
     # strict policy must reject the whole curve
     spec = builtin_model("sign_drift")
     with pytest.raises(StepSizeError):
-        strong_error_curve(spec, "tiem-mono", 2.0, [2.0**-4], 2.0**-16, 4, 0)
+        strong_error_curve(config_from_alias("tiem-mono", spec), 2.0, [2.0**-4], 2.0**-16, 4, 0)
 
 
 def test_rate_curve_requires_decreasing_h():
@@ -428,7 +445,7 @@ def test_loglog_fit_drops_pre_asymptotic_point_on_long_curves():
 def test_transformed_scheme_moments_stay_bounded():
     spec = builtin_model("cubic")
     rows = moment_diagnostic(
-        spec, "tiem", 4.0, [2.0**-4, 2.0**-6, 2.0**-8, 2.0**-10], 2048, 13
+        config_from_alias("tiem", spec), 4.0, [2.0**-4, 2.0**-6, 2.0**-8, 2.0**-10], 2048, 13
     )
     assert [row.h for row in rows] == [2.0**-4, 2.0**-6, 2.0**-8, 2.0**-10]
     moments = [row.sup_moment for row in rows]
@@ -438,9 +455,9 @@ def test_transformed_scheme_moments_stay_bounded():
 
 def test_explicit_em_diverges_where_implicit_stays_put():
     spec = builtin_model("cubic", x0=10.0)
-    exploded = moment_diagnostic(spec, "em", 2.0, [2.0**-2], 256, 13)
+    exploded = moment_diagnostic(config_from_alias("em", spec), 2.0, [2.0**-2], 256, 13)
     assert exploded[0].sup_moment > 1e6
-    tame = moment_diagnostic(spec, "iem", 2.0, [2.0**-2], 256, 13)
+    tame = moment_diagnostic(config_from_alias("iem", spec), 2.0, [2.0**-2], 256, 13)
     # backward steps only pull toward 0, so the running sup is the start
     assert tame[0].sup_moment == 100.0
     grid = TimeGrid(horizon=1.0, steps=4)
@@ -449,7 +466,9 @@ def test_explicit_em_diverges_where_implicit_stays_put():
 
 
 def test_brownian_running_sup_second_moment():
-    rows = moment_diagnostic(builtin_model("brownian"), "em", 2.0, [2.0**-6], 4096, 17)
+    rows = moment_diagnostic(
+        config_from_alias("em", builtin_model("brownian")), 2.0, [2.0**-6], 4096, 17
+    )
     # E[sup |W|^2] on [0, 1] is between E[W_1^2] = 1 and 4 E[W_1^2] (Doob)
     assert 1.0 < rows[0].sup_moment < 4.0
 
@@ -458,12 +477,12 @@ def test_moment_diagnostic_validates_paths():
     spec = builtin_model("cubic")
     for paths in (0, -3, 2.5, "16"):
         with pytest.raises(ConfigurationError, match="paths"):
-            moment_diagnostic(spec, "iem", 2.0, [2.0**-3], paths, 3)
+            moment_diagnostic(config_from_alias("iem", spec), 2.0, [2.0**-3], paths, 3)
 
 
 def test_moment_diagnostic_worker_invariance():
     spec = builtin_model("cubic")
-    args = (spec, "tiem", 4.0, [2.0**-4, 2.0**-5], 300, 13)
+    args = (config_from_alias("tiem", spec), 4.0, [2.0**-4, 2.0**-5], 300, 13)
     serial = moment_diagnostic(*args, workers=1)
     threaded = moment_diagnostic(*args, workers=4)
     assert [r.sup_moment for r in serial] == [r.sup_moment for r in threaded]
@@ -534,7 +553,9 @@ def test_monotonicity_witness_validation():
 
 def test_rate_curve_csv_round_trip(tmp_path):
     spec = builtin_model("cubic")
-    curve = strong_error_curve(spec, "iem", 2.0, [2.0**-3, 2.0**-4], 2.0**-6, 16, 3)
+    curve = strong_error_curve(
+        config_from_alias("iem", spec), 2.0, [2.0**-3, 2.0**-4], 2.0**-6, 16, 3
+    )
     path = tmp_path / "rate_curve.csv"
     write_rate_curve_csv(os.fspath(path), curve)
     raw = path.read_bytes()
@@ -556,7 +577,7 @@ def test_aw_estimates_csv_columns(tmp_path):
     rows = []
     for k in (0.0, 5.0):
         spec = builtin_model("perturbed_sign", k=k)
-        result = estimate_aw(brown, spec, _em_pair(brown, spec), 2.0, GRID, paths=64, seed=2)
+        result = estimate_aw(_em_pair(brown, spec), 2.0, GRID, paths=64, seed=2)
         rows.append((k, result.estimate, result.stderr, result.paths, GRID.step, 2))
     path = tmp_path / "aw_estimates.csv"
     write_aw_estimates_csv(os.fspath(path), rows)

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from awsde import (
     ConfigurationError,
+    PiecewiseTransform,
     StepSizeError,
     config_from_alias,
     TimeGrid,
     builtin_model,
     em_step,
+    guard_report,
     implicit_solve,
     sample_increment_block,
     semi_implicit_em_step,
@@ -173,20 +175,18 @@ def test_transformed_step_agrees_with_the_zspace_composition(h):
 
 
 def test_transformed_block_never_inverts_the_transform(monkeypatch):
-    import awsde.transform
-
     # h = 2^-10 as in the strong-rate reference grid, where only the
     # monotone guard 1 - L a_h > 0 fails
     cfg = config_from_alias("tiem-mono", builtin_model("sign_drift"), guard_policy="warn")
     grid = TimeGrid(1.0, 2 ** 10)
     calls = []
-    original = awsde.transform.invert_transform
+    original = PiecewiseTransform.inverse
 
     def counting(transform, y):
         calls.append(np.size(y))
         return original(transform, y)
 
-    monkeypatch.setattr(awsde.transform, "invert_transform", counting)
+    monkeypatch.setattr(PiecewiseTransform, "inverse", counting)
     cfg.transformed.transform.inverse(1.0)
     assert calls == [1]
     calls.clear()
@@ -312,6 +312,23 @@ def test_synchronous_block_checks_every_guard_before_drawing(monkeypatch):
     assert draws == []
 
 
+def test_strict_guard_error_names_every_violated_grid():
+    # h = 1/64, 1/32 and 1/16 all break tiem's h < 1/500 on sign_drift; the
+    # warn-policy leg's monotone-guard messages stay out of the error
+    grid = TimeGrid(1.0, 64)
+    strict = config_from_alias("tiem", builtin_model("sign_drift"))
+    warn = config_from_alias("tiem-mono", builtin_model("sign_drift"), guard_policy="warn")
+    factors = (1, 2, 4)
+    with pytest.raises(StepSizeError) as exc:
+        simulate_synchronous_block((strict, warn), grid, seed=1, start=0, count=4, factors=factors)
+    expected = [m for f in factors for m in guard_report(strict, grid.coarsen(f))]
+    assert len(expected) == 3
+    assert str(exc.value) == "; ".join(expected)
+    for f in factors:
+        assert f"h={grid.coarsen(f).step!r}" in str(exc.value)
+    assert "monotone guard" not in str(exc.value)
+
+
 def test_legs_by_grids_are_the_coupled_blocks_of_each_config():
     grid = TimeGrid(1.0, 64)
     configs = [config_from_alias("iem", builtin_model("cubic")),
@@ -414,11 +431,11 @@ def _kernel_loop(cfg, grid, dw):
     path = [x]
     for k, d in enumerate(dw):
         t = k * h
-        if cfg.kind == "explicit_em":
+        if cfg.scheme == "em":
             x = em_step(spec, t, x, h, d)
-        elif cfg.kind == "semi_implicit_em":
+        elif cfg.scheme == "iem":
             x = semi_implicit_em_step(spec, t, x, h, d, enforce_guard=False)
-        elif cfg.kind == "transformed_semi_implicit":
+        elif cfg.scheme in ("tiem", "tiem-mono"):
             x = transformed_step(cfg.transformed, x, h, d, enforce_guard=False)
         else:
             params = spec.params

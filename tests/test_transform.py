@@ -13,7 +13,6 @@ from awsde import (
     build_transform,
     builtin_model,
     config_from_alias,
-    invert_transform,
     transformed_coefficients,
 )
 
@@ -62,7 +61,7 @@ def test_g_prime_bounds():
 def test_inverse_single_point():
     tr = build_transform(builtin_model("sign_drift"))
     y = float(tr.g(1.02))
-    assert invert_transform(tr, y) == pytest.approx(1.02, abs=1e-10)
+    assert tr.inverse(y) == pytest.approx(1.02, abs=1e-10)
 
 
 def test_round_trip_dense(synthetic_spec):
@@ -178,16 +177,14 @@ def test_perturbed_sign_steps_with_the_transformed_scheme_for_every_k():
 
 
 def test_building_transformed_coefficients_never_inverts(monkeypatch):
-    import awsde.transform
-
     calls = []
-    original = awsde.transform.invert_transform
+    original = PiecewiseTransform.inverse
 
     def counting(transform, y):
         calls.append(np.size(y))
         return original(transform, y)
 
-    monkeypatch.setattr(awsde.transform, "invert_transform", counting)
+    monkeypatch.setattr(PiecewiseTransform, "inverse", counting)
     spec = builtin_model("sign_drift")
     transformed_coefficients(spec)
     config_from_alias("tiem-mono", spec)
@@ -219,7 +216,7 @@ def _valid_transforms(draw):
 @settings(max_examples=60, deadline=None)
 def test_random_transform_round_trip_and_monotone(tr, x):
     y = float(tr.g(x))
-    assert invert_transform(tr, y) == pytest.approx(x, abs=1e-9)
+    assert tr.inverse(y) == pytest.approx(x, abs=1e-9)
     # strict monotonicity on a local probe around x
     step = 1e-4
     assert float(tr.g(x + step)) > y > float(tr.g(x - step))
