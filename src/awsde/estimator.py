@@ -18,10 +18,10 @@ against a fine-step reference), empirical sup-moment tables, and the search
 for a one-step monotonicity counterexample of the truncated scheme when the
 diffusion is not Lipschitz.
 
-All estimates are deterministic functions of ``(seed, path count)``: paths are
-processed in fixed 256-path blocks writing to disjoint slices, and reductions
-run in block order after all blocks finish, so the worker count never changes
-a single bit of the output.
+All estimates are deterministic functions of ``(seed, path count)``: each
+Monte Carlo estimate maps one function over fixed 256-path blocks, each block
+returns its own reductions, and they are joined in block order after the map,
+so the worker count never changes a single bit of the output.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 import warnings as _warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -66,12 +66,10 @@ __all__ = [
 ]
 
 Array = np.ndarray
+T = TypeVar("T")
 
 #: paths per work unit; estimates never depend on how blocks are scheduled
 BLOCK_PATHS = 256
-
-#: regularity classes for which the synchronous coupling attains the value
-COVERED_CLASSES = ("lipschitz", "growth_disc", "regular", "zvonkin")
 
 #: errors below this are rounding noise of the coupled simulation, not signal
 FIT_FLOOR = 1e-13
@@ -105,35 +103,23 @@ class EstimateResult:
     extra: Mapping[str, object] = field(default_factory=dict)
 
 
-def _run_blocks(paths: int, workers: int, work: Callable[[int, int, int], None]) -> int:
-    """Run ``work(block_index, start, count)`` over all path blocks."""
-    blocks = [
-        (b, start, min(BLOCK_PATHS, paths - start))
-        for b, start in enumerate(range(0, paths, BLOCK_PATHS))
-    ]
-    if workers <= 1 or len(blocks) == 1:
-        for b in blocks:
-            work(*b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # Each block writes a disjoint slice of preallocated arrays, so
-            # scheduling order cannot influence the result.
-            list(pool.map(lambda args: work(*args), blocks))
-    return len(blocks)
+def _map_blocks(paths: int, workers: int, work: Callable[[int, int], T]) -> list[T]:
+    """``work(start, count)`` for each 256-path block, the results in block order."""
+    if not isinstance(workers, int) or workers < 1:
+        raise ConfigurationError(f"workers must be a positive integer, got {workers!r}")
+    starts = range(0, paths, BLOCK_PATHS)
+    counts = [min(BLOCK_PATHS, paths - start) for start in starts]
+    if workers == 1 or len(starts) == 1:
+        return list(map(work, starts, counts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, starts, counts))
 
 
 def _coverage_notes(*specs: CoefficientSpec) -> list[str]:
-    notes: list[str] = []
-    for spec in specs:
-        if spec.regularity_class not in COVERED_CLASSES:
-            notes.append(
-                f"model {spec.name!r}: regularity class {spec.regularity_class!r} is not "
-                "covered by the synchronous-coupling result; optimality not certified"
-            )
-        for message in spec.warnings:
-            notes.append(f"model {spec.name!r}: {message}; optimality not certified")
+    notes = [f"model {spec.name!r}: {message}; optimality not certified"
+             for spec in specs for message in spec.warnings]
     for message in notes:
-        # attributed to the caller of estimate_vc or estimate_aw_sweep
+        # attributed to the caller of the public entry above _synchronous_estimates
         _warnings.warn(message, RuntimeWarning, stacklevel=4)
     return notes
 
@@ -160,21 +146,23 @@ def _synchronous_estimates(
     others = tuple(others)
     notes = []
     for other in others:
+        # a loop, not a comprehension, so the warnings' stacklevel holds
         notes.append(_coverage_notes(base.spec, other.spec))
     t_row = grid.times()[None, :]
     h = grid.step
-    per_path = [np.empty(paths, dtype=np.float64) for _ in others]
 
-    def work(_b: int, start: int, count: int) -> None:
+    def work(start: int, count: int) -> Array:
+        sums = np.empty((len(others), count), dtype=np.float64)
         legs = simulate_synchronous_block((base, *others), grid, seed, start, count)
         x = next(legs)
-        for sums, y in zip(per_path, legs):
+        for row, y in zip(sums, legs):
             c = np.asarray(cost(t_row, x, y), dtype=np.float64)
-            sums[start:start + count] = h * c.sum(axis=1)
+            row[:] = h * c.sum(axis=1)
             # release this leg before the generator steps the next one
             del y, c
+        return sums
 
-    _run_blocks(paths, workers, work)
+    per_path = np.concatenate(_map_blocks(paths, workers, work), axis=1)
     results = []
     for other, sums, other_notes in zip(others, per_path, notes):
         estimate = float(np.mean(sums))
@@ -189,6 +177,25 @@ def _synchronous_estimates(
             EstimateResult(estimate=estimate, stderr=stderr, paths=paths, grid=grid, extra=extra)
         )
     return tuple(results)
+
+
+def _pair(schemes: Sequence[StepperConfig]) -> tuple[StepperConfig, StepperConfig]:
+    legs = tuple(schemes)
+    if len(legs) != 2:
+        raise ConfigurationError(f"schemes must be the two legs (mu, nu), got {len(legs)} configs")
+    return legs
+
+
+def _with_aw(results: tuple[EstimateResult, ...], p: float) -> tuple[EstimateResult, ...]:
+    """``results`` with ``p`` and the p-th root of each estimate added to ``extra``."""
+    return tuple(
+        replace(r, extra={
+            **r.extra,
+            "p": float(p),
+            "aw": r.estimate ** (1.0 / float(p)) if r.estimate > 0.0 else 0.0,
+        })
+        for r in results
+    )
 
 
 def estimate_vc(
@@ -214,7 +221,7 @@ def estimate_vc(
     ``cost`` must be vectorised over ``(t, x, y)`` arrays.  Identical specs
     with identical schemes give exactly zero with zero variance.
     """
-    config_mu, config_nu = schemes
+    config_mu, config_nu = _pair(schemes)
     return _synchronous_estimates(config_mu, (config_nu,), cost, grid, paths, seed, workers)[0]
 
 
@@ -235,15 +242,7 @@ def estimate_aw_sweep(
     per pair.
     """
     cost = power_time_cost(p)
-    results = _synchronous_estimates(base, others, cost, grid, paths, seed, workers)
-    return tuple(
-        replace(r, extra={
-            **r.extra,
-            "p": float(p),
-            "aw": r.estimate ** (1.0 / float(p)) if r.estimate > 0.0 else 0.0,
-        })
-        for r in results
-    )
+    return _with_aw(_synchronous_estimates(base, others, cost, grid, paths, seed, workers), p)
 
 
 def estimate_aw(
@@ -262,8 +261,10 @@ def estimate_aw(
     root of the point estimate.  This is the one-leg case of
     :func:`estimate_aw_sweep`.
     """
-    config_mu, config_nu = schemes
-    return estimate_aw_sweep(config_mu, (config_nu,), p, grid, paths, seed, workers)[0]
+    config_mu, config_nu = _pair(schemes)
+    cost = power_time_cost(p)
+    results = _synchronous_estimates(config_mu, (config_nu,), cost, grid, paths, seed, workers)
+    return _with_aw(results, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +354,15 @@ def _fit_loglog(h_values: Sequence[float], errors: Sequence[float]) -> "SlopeFit
     )
 
 
-def _steps_for(horizon: float, h: float) -> int:
+def _grid_for(h: float) -> TimeGrid:
+    """The grid of step ``h`` on the unit horizon ``[0, 1]``."""
     if not (math.isfinite(h) and h > 0.0):
         raise ConfigurationError(f"step size must be positive and finite, got {h!r}")
-    steps = horizon / h
-    if not math.isfinite(steps):
-        raise ConfigurationError(f"step size {h!r} does not divide the horizon {horizon!r}")
-    rounded = round(steps)
+    steps = 1.0 / h
+    rounded = round(steps) if math.isfinite(steps) else 0
     if rounded < 1 or abs(steps - rounded) > 1e-9 * max(1.0, rounded):
-        raise ConfigurationError(f"step size {h!r} does not divide the horizon {horizon!r}")
-    return int(rounded)
+        raise ConfigurationError(f"step size {h!r} does not divide the horizon 1.0")
+    return TimeGrid(horizon=1.0, steps=int(rounded))
 
 
 def strong_error_curve(
@@ -373,10 +373,9 @@ def strong_error_curve(
     paths: int,
     seed: int,
     *,
-    horizon: float = 1.0,
     workers: int = 1,
 ) -> RateCurve:
-    """Strong errors of one leg against its own fine-step reference.
+    """Strong errors of one leg against its own fine-step reference on ``[0, 1]``.
 
     For every requested ``h`` the leg ``config`` runs on the coarsened grid
     driven by block sums of the reference increments, so each coarse path is
@@ -398,8 +397,7 @@ def strong_error_curve(
     if len(hs) != len(tuple(h_values)):
         raise ConfigurationError("h_values must not contain duplicates")
 
-    ref_steps = _steps_for(horizon, h_ref)
-    fine = TimeGrid(horizon=horizon, steps=ref_steps)
+    fine = _grid_for(h_ref)
     factors: list[int] = []
     for h in hs:
         ratio = h / h_ref
@@ -410,30 +408,26 @@ def strong_error_curve(
 
     guard_notes = _check_guards((config,), [fine.coarsen(f) for f in [1] + factors])
 
-    n_blocks = -(-paths // BLOCK_PATHS)
-    sup_partials = [np.zeros((n_blocks, ref_steps // f + 1), dtype=np.float64) for f in factors]
-    int_scalars = [np.empty(paths, dtype=np.float64) for _ in factors]
-
-    def work(b: int, start: int, count: int) -> None:
+    def work(start: int, count: int) -> tuple[list[Array], Array]:
         out = simulate_coupled_block(config, fine, [1] + factors, seed, start, count)
         ref = out[1]
-        for i, f in enumerate(factors):
+        node_sums = []
+        int_sums = np.empty((len(factors), count), dtype=np.float64)
+        for row, f in zip(int_sums, factors):
             coarse = out[f]
-            diff_nodes = np.abs(ref[:, ::f] - coarse) ** p
-            sup_partials[i][b, :] = diff_nodes.sum(axis=0)
+            node_sums.append((np.abs(ref[:, ::f] - coarse) ** p).sum(axis=0))
             held = np.repeat(coarse[:, :-1], f, axis=1)
-            diff_time = np.abs(ref[:, :-1] - held) ** p
-            int_scalars[i][start:start + count] = h_ref * diff_time.sum(axis=1)
+            row[:] = h_ref * (np.abs(ref[:, :-1] - held) ** p).sum(axis=1)
+        return node_sums, int_sums
 
-    _run_blocks(paths, workers, work)
-
+    blocks = _map_blocks(paths, workers, work)
+    int_scalars = np.concatenate([int_sums for _, int_sums in blocks], axis=1)
     err_sup: list[float] = []
     err_int: list[float] = []
     stderr: list[float] = []
-    for i in range(len(factors)):
-        node_means = sup_partials[i].sum(axis=0) / paths
+    for i, scalars in enumerate(int_scalars):
+        node_means = np.stack([node_sums[i] for node_sums, _ in blocks]).sum(axis=0) / paths
         err_sup.append(float(np.max(node_means) ** (1.0 / p)))
-        scalars = int_scalars[i]
         err_int.append(float(np.mean(scalars) ** (1.0 / p)))
         stderr.append(float(np.std(scalars, ddof=1) / math.sqrt(paths)))
 
@@ -473,35 +467,36 @@ def moment_diagnostic(
     paths: int,
     seed: int,
     *,
-    horizon: float = 1.0,
     workers: int = 1,
 ) -> tuple[MomentRow, ...]:
-    """Empirical sup-moments of one leg ``config`` across step sizes.
+    """Empirical sup-moments of one leg ``config`` on ``[0, 1]`` across step sizes.
 
-    A strict config raises :class:`~awsde.errors.StepSizeError` at the first
-    step size that violates one of its guards.  Divergent paths (overflow to
-    nan or inf) count as infinite, so a blowing-up scheme reports an
-    infinite sup-moment rather than hiding behind nan.
+    The guards are checked on every step size's grid before any path is
+    drawn: a strict config raises one :class:`~awsde.errors.StepSizeError`
+    naming every violation.  Divergent paths (overflow to nan or inf) count as
+    infinite, so a blowing-up scheme reports an infinite sup-moment rather
+    than hiding behind nan.
     """
     if not 1 <= p < math.inf:
         raise ConfigurationError(f"p must be finite and >= 1, got {p}")
     if not isinstance(paths, int) or paths < 1:
         raise ConfigurationError(f"paths must be a positive integer, got {paths!r}")
-    rows: list[MomentRow] = []
-    for h in h_values:
-        grid = TimeGrid(horizon=horizon, steps=_steps_for(horizon, float(h)))
-        per_path = np.empty(paths, dtype=np.float64)
+    hs = [float(h) for h in h_values]
+    grids = [_grid_for(h) for h in hs]
+    _check_guards((config,), grids)
 
-        def work(_b: int, start: int, count: int, grid: TimeGrid = grid,
-                 per_path: Array = per_path) -> None:
+    def work(start: int, count: int) -> Array:
+        moments = np.empty((len(grids), count), dtype=np.float64)
+        for row, grid in zip(moments, grids):
             x = simulate_path_block(config, grid, seed, start, count)
             with np.errstate(over="ignore", invalid="ignore"):
                 m = np.max(np.abs(x), axis=1) ** p
-            per_path[start:start + count] = np.where(np.isnan(m), np.inf, m)
+            row[:] = np.where(np.isnan(m), np.inf, m)
+        return moments
 
-        _run_blocks(paths, workers, work)
-        rows.append(MomentRow(h=float(h), p=float(p), sup_moment=float(np.mean(per_path))))
-    return tuple(rows)
+    per_path = np.concatenate(_map_blocks(paths, workers, work), axis=1)
+    return tuple(MomentRow(h=h, p=float(p), sup_moment=float(np.mean(m)))
+                 for h, m in zip(hs, per_path))
 
 
 # ---------------------------------------------------------------------------

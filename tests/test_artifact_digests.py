@@ -43,6 +43,11 @@ CASES = {
          "--paths", "16"],
         {"rate_curve.csv": "fd3b4cccf9c1f55a379ed1cdc8044238ee309574f95f9b5a8c8e7dca53e4a555"},
     ),
+    # 300 paths, so the rate curve's reductions join two blocks
+    "rates_cubic_iem_blocks": (
+        ["rates", "--model", "cubic", "--scheme", "iem", "--steps", "256", "--paths", "300"],
+        {"rate_curve.csv": "e874c6680353217b8c0b2ff6d0695b106ff1e1224c3d401aa44ed2d2e6a12792"},
+    ),
     "counterexamples": (
         ["counterexamples"],
         {"counterexamples.json":

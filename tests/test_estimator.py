@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,55 @@ def test_feller_violation_warns_at_estimate_time():
             paths=8, seed=1,
         )
     assert any("feller" in w for w in result.extra["warnings"])
+
+
+def test_coverage_warnings_name_the_caller():
+    brown = config_from_alias("em", builtin_model("brownian"))
+    cir = config_from_alias("em", builtin_model("cir", gamma=2.5))
+    entries = {
+        "estimate_vc": lambda: estimate_vc((brown, cir), power_time_cost(1.0), GRID, 4, 1),
+        "estimate_aw": lambda: estimate_aw((brown, cir), 2.0, GRID, 4, 1),
+        "estimate_aw_sweep": lambda: estimate_aw_sweep(brown, [cir], 2.0, GRID, 4, 1),
+    }
+    for name, entry in entries.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entry()
+        assert [w.message.args[0] for w in caught if "feller" in str(w.message)], name
+        assert {w.filename for w in caught} == {__file__}, name
+
+
+@pytest.mark.parametrize("legs", [1, 3])
+def test_pair_entries_refuse_other_than_two_legs(legs):
+    pair = (config_from_alias("em", builtin_model("brownian")),) * legs
+    with pytest.raises(ConfigurationError, match=f"got {legs} configs"):
+        estimate_vc(pair, power_time_cost(2.0), GRID, 4, 1)
+    with pytest.raises(ConfigurationError, match=f"got {legs} configs"):
+        estimate_aw(pair, 2.0, GRID, 4, 1)
+
+
+@pytest.mark.parametrize("workers", ["2", None, 0, -1, 2.5])
+def test_monte_carlo_entries_refuse_bad_worker_counts(workers):
+    brown = config_from_alias("em", builtin_model("brownian"))
+    cubic = config_from_alias("iem", builtin_model("cubic"))
+    message = re.escape(f"workers must be a positive integer, got {workers!r}")
+    with pytest.raises(ConfigurationError, match=message):
+        estimate_aw((brown, brown), 2.0, GRID, 4, 1, workers=workers)
+    with pytest.raises(ConfigurationError, match=message):
+        strong_error_curve(cubic, 2.0, [0.25], 0.125, 4, 1, workers=workers)
+    with pytest.raises(ConfigurationError, match=message):
+        moment_diagnostic(cubic, 2.0, [0.25], 4, 1, workers=workers)
+
+
+def test_strict_sweep_error_names_every_leg():
+    grid = TimeGrid(1.0, 4)
+    base = config_from_alias("em", builtin_model("brownian"))
+    others = [config_from_alias("tiem", builtin_model("sign_drift")),
+              config_from_alias("tiem-mono", builtin_model("perturbed_sign"))]
+    with pytest.raises(StepSizeError) as exc:
+        estimate_aw_sweep(base, others, 2.0, grid, 4, 1)
+    assert "transformed drift bound L=500.0" in str(exc.value)
+    assert "monotone guard 1 - L*a_h > 0 fails: L=0.5" in str(exc.value)
 
 
 def test_single_path_has_no_stderr():
@@ -486,6 +536,29 @@ def test_moment_diagnostic_worker_invariance():
     serial = moment_diagnostic(*args, workers=1)
     threaded = moment_diagnostic(*args, workers=4)
     assert [r.sup_moment for r in serial] == [r.sup_moment for r in threaded]
+
+
+def test_moment_diagnostic_frozen_values():
+    # 300 paths span two blocks, so these pin the block-order reduction
+    rows = moment_diagnostic(
+        config_from_alias("tiem", builtin_model("cubic")), 4.0, [2.0**-4, 2.0**-5], 300, 13
+    )
+    assert [row.sup_moment for row in rows] == [
+        float.fromhex("0x1.395adaf690aabp+1"), float.fromhex("0x1.7733342ce74e5p+1")
+    ]
+
+
+def test_strict_moment_diagnostic_raises_before_any_draw(monkeypatch):
+    import awsde.schemes as schemes
+
+    draws = []
+    sample = schemes.sample_increment_block
+    monkeypatch.setattr(schemes, "sample_increment_block",
+                        lambda *args: draws.append(args) or sample(*args))
+    config = config_from_alias("tiem", builtin_model("sign_drift"))
+    with pytest.raises(StepSizeError, match=re.escape("h=0.0625 violates")):
+        moment_diagnostic(config, 2.0, [2.0**-10, 2.0**-4], 16, 1)
+    assert draws == []
 
 
 # ---------------------------------------------------------------------------
